@@ -127,7 +127,8 @@ def q_conversation_checks(sf_dir: str):
 
 
 def q_conversation_checks_salted(sf_dir: str):
-    """Salted two-phase variant — identical rows, skew-safe partitioning."""
+    """The same one path at chunk=1000: identical rows; a conversation is
+    salted into 1000-turn slices when one block holds ≥ 1000 of its rows."""
     from ..stages.conversation import conversation_violations_salted
 
     ds = _read_transcripts(sf_dir)

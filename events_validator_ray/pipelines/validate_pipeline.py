@@ -33,11 +33,7 @@ import pickle
 import time
 
 from ..spec import Spec
-from ..stages.conversation import (
-    conversation_violations,
-    conversation_violations_auto,
-    conversation_violations_salted,
-)
+from ..stages.conversation import conversation_violations
 from ..stages.sketches import drift_report, profile_table, sketch_dataset
 from ..stages.validate import DEFAULT_RUN_TS, ValidateBatch
 from ..state.manifest import (
@@ -71,8 +67,6 @@ def run_validation(
     run_ts: _dt.datetime = DEFAULT_RUN_TS,
     files_per_partition: int = 8,
     log_valid: bool = True,
-    salted: bool | str = "auto",
-    salt_chunk: int = 10_000,
     sketch_plan: dict | None = None,
     reference_profile: dict[str, dict[str, int]] | None = None,
     resume: bool = True,
@@ -225,16 +219,12 @@ def run_validation(
         ds = rd.read_parquet(files)
         if conv_filter is not None:
             ds = conv_filter(ds)
-        if salted == "auto":
-            # heavy-hitter probe picks the salted path only under real skew
-            conv = conversation_violations_auto(ds, spec, run_ts, chunk=salt_chunk)
-        elif salted:
-            conv = conversation_violations_salted(ds, spec, run_ts, chunk=salt_chunk)
-        else:
-            conv = conversation_violations(ds, spec, run_ts)
-        conv = conv.materialize()  # small (violations only); count without re-reading
+        # small (violations only); count without re-reading
+        conv = conversation_violations(ds, spec, run_ts).materialize()
         with atomic_output_dir(final_dir) as tmp:
-            conv.write_parquet(tmp)
+            # the bucketed exchange leaves one small block per task; bundle
+            # them so the log is not a file per bucket
+            conv.write_parquet(tmp, min_rows_per_file=1_000_000)
         n_err = conv.count()
         manifest.append(
             PartitionRecord(

@@ -2,7 +2,7 @@
 
     python -m events_validator_ray.runner \
         --input /data/transcripts --out /data/validation_out \
-        [--spec spec.json] [--salted] [--sample 0.01] [--resume/--no-resume]
+        [--spec spec.json] [--sample 0.01] [--no-resume]
 
 Owns the Ray session (the ONLY library-adjacent place that calls ray.init,
 guarded for pre-initialised cluster drivers). On a multi-node cluster, run
@@ -25,13 +25,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output directory (violations + manifest); not needed for --report",
     )
     p.add_argument("--spec", help="constraint-spec JSON file (default: transcript spec)")
-    p.add_argument(
-        "--salt-mode",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help="conversation-check skew handling: auto probes for heavy conversations",
-    )
-    p.add_argument("--salt-chunk", type=int, default=10_000)
     p.add_argument("--sample", type=float, default=None, help="validate a random fraction (GTM-style sampling, reference README.md:62-64)")
     p.add_argument("--files-per-partition", type=int, default=8)
     p.add_argument("--no-resume", action="store_true")
@@ -415,8 +408,6 @@ def main(argv: list[str] | None = None) -> int:
         spec,
         files_per_partition=args.files_per_partition,
         log_valid=not args.no_log_valid,
-        salted={"auto": "auto", "on": True, "off": False}[args.salt_mode],
-        salt_chunk=args.salt_chunk,
         resume=not args.no_resume,
         reference_profile=reference_profile,
         only_convs=only_convs,

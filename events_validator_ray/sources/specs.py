@@ -339,20 +339,31 @@ def infer_spec(
     - every profiled column becomes a rule with the caller-declared `type`
       (the profile's renders are physical, the rule type is the logical one);
     - columns with observed nulls get `optional: true`;
-    - a column whose full value set fit under the cap with exactly ONE value
-      gets an exact `value` rule (the reference's constant-param pattern,
+    - a column whose full value set fit under the cap with exactly ONE value,
+      at most ENUM_VALUE_MAX_LEN chars long, gets an exact `value` rule
+      (the reference's constant-param pattern,
       e.g. GA4 Recommended's fixed-value params).
 
     Multi-value enums are NOT emitted as rules: the reference rule language
     has no value-set constraint (value is scalar, validationHelpers.js:108),
     so those stay advisory in the profile/query output.
     """
+    from ..stages.sketches import ENUM_VALUE_MAX_LEN
+
     fields: dict[str, Any] = {}
     for col, p in profile.items():
         rule: dict[str, Any] = {"type": types[col]}
         if p["n_nulls"] > 0:
             rule["optional"] = True
-        if len(p["values"]) == 1 and types[col] == "string":
+        # mirrors q_spec_suggest's enum qualification: the profile keeps only
+        # a 65-char prefix of each raw value, so a longer constant (or two
+        # values sharing that prefix) must not become a value rule
+        if (
+            types[col] == "string"
+            and len(p["values"]) == 1
+            and p["max_len"] <= ENUM_VALUE_MAX_LEN
+            and p["n_distinct_capped"] == 1
+        ):
             rule["value"] = p["values"][0]
         fields[col] = rule
     return load_spec(fields, event_name=event_name)

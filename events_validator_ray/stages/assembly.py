@@ -20,8 +20,8 @@ row per conversation (conversation_doc) / one row per adjacent pair
 
 Partitioning assumption: a whole conversation lands in one task — INHERENT to
 these semantics (the assembled document IS the conversation; adjacency needs
-both neighbours), unlike the checks plane where the salted path can split
-groups. A pathological 10^8-turn conversation therefore costs one
+both neighbours), unlike the checks plane, which salts hot conversations into
+`chunk`-turn slices. A pathological 10^8-turn conversation therefore costs one
 10^8-row task here; gate such conversations upstream with
 `conversation_stats` / `detect_skew` before assembly.
 """

@@ -24,20 +24,32 @@ Check semantics (each SQL-expressible, see __ray_entry__.oracle_sql):
            from the set; a turn's role = MIN of its rows' non-null roles
            (deterministic under duplicates); all-null turns are skipped
 
-Skew: ``salted=True`` runs a two-phase variant — phase 1 groups by
-``(conv_id, turn_idx // chunk)`` so a single million-turn conversation never
-lands in one task (within-chunk checks are exact because equal turn values
-share a chunk); phase 2 merges the per-chunk
-summaries per conversation DISTRIBUTED (hash-bucketed vectorized boundary
-carry — the summary table is conv x chunk and must never be collected) for
-the cross-boundary gaps / first-turn / alternation checks. Cross-chunk ts
-ordering finalizes INSIDE phase 2: chunk>0 summaries (the split tail — the
-only possible suspects, since a chunk with no earlier chunk cannot undercut
-one) carry their per-row (turn_idx, ts) payload, and suspect chunks' ts-order
-rows are re-emitted there with `expected` = the conversation-global prefix
-max — no second corpus scan. Phase 1's within-chunk ts rows for suspect
-chunks are dropped (their expected understates the global max). (Two-phase
-salting per DS2/ICDE'21, see PAPERS.md.)
+One path, exact under single-conversation skew (two-phase salting per
+DS2/ICDE'21, see PAPERS.md):
+
+- Hot set (``detect_skew``): a map-only pass over ``conv_id`` — per-block
+  value counts, no shuffle — marks a conversation hot when some block holds
+  at least ``chunk`` of its rows. The driver pull is bounded by
+  Σ rows / ``chunk``.
+- Salt: ``chunk = max(turn_idx // chunk, 0)`` for hot conversations, 0 for
+  all others. Row count, not turn value, decides salting, so a sparse
+  conversation with a huge turn gap stays whole.
+- Phase 1 groups by ``(conv_id, chunk)``, hash-bucketed so one task checks
+  thousands of groups vectorized (``BucketChecker``). A cold conversation is
+  one whole group and is finalized there. Each slice of a hot conversation
+  runs the within-slice checks (exact: equal turn values share a slice) and
+  emits one packed summary row (``SUMMARY_FIELDS``); chunk>0 slices carry
+  their per-row (turn_idx, ts) payload.
+- Phase 2 runs only when the hot set is non-empty. It merges the hot
+  conversations' summaries per conv-hash bucket (``_Phase2Packed``): min
+  turn, first role, cross-chunk gaps and alternation, and cross-chunk ts
+  order re-checked from the payloads against the global prefix max — no
+  second corpus scan. Phase 1's ts rows of those suspect chunks are dropped
+  (their expected understates the global max) before phase 2's corrected
+  rows are unioned in.
+
+The output is the same whatever the hot set holds; the hot set only bounds
+how many rows of one conversation a single task holds.
 """
 
 from __future__ import annotations
@@ -68,13 +80,12 @@ SUMMARY_FIELDS = [
     "alt_first_turn",
     "alt_first_role",
     "alt_last_role",
-    # chunk>0 groups only: per-ROW turn_idx / ts-µs CSVs ("" = null ts) in the
-    # group. Only chunk>0 groups can ever be ts-order SUSPECTS (a chunk with
+    # chunk>0 slices only: per-ROW turn_idx / ts-µs CSVs ("" = null ts) in the
+    # slice. Only chunk>0 groups can ever be ts-order SUSPECTS (a chunk with
     # no earlier chunk cannot undercut one), so carrying their rows lets
-    # phase 2 emit the corrected cross-chunk ts violations directly and the
-    # old phase-3 full-corpus rescan disappears. Volume is bounded by the
-    # split tail (turns beyond each conversation's first chunk) — the rows
-    # you pay for are exactly the skew you bought insurance against.
+    # phase 2 emit the corrected cross-chunk ts violations directly, with no
+    # second corpus scan. Volume is bounded by the split tail of the hot
+    # conversations (turns beyond each one's first chunk).
     "ts_turns",
     "ts_vals",
 ]
@@ -146,10 +157,9 @@ def _check_turn_block(
     turns: np.ndarray,
     ts_us: np.ndarray,
     ts_valid: np.ndarray,
-    check_min_zero: bool,
     spec: Spec,
 ):
-    """All within-block checks; shared by the unsalted and per-chunk paths."""
+    """All checks of one whole conversation except the first role."""
     order = spec.table.order
     uq, inv, counts = np.unique(turns, return_inverse=True, return_counts=True)
 
@@ -158,7 +168,7 @@ def _check_turn_block(
             _emit(rows, f"{conv}:{t}", "turn_idx", "unique", "1", str(c), ename)
 
     if order and order.contiguous:
-        if check_min_zero and uq[0] != 0:
+        if uq[0] != 0:
             _emit(rows, f"{conv}:{uq[0]}", "turn_idx", "order", "0", str(uq[0]), ename)
         gaps = np.nonzero(np.diff(uq) > 1)[0]
         for gi in gaps:
@@ -204,9 +214,9 @@ def _first_role_info(turns: np.ndarray, roles: np.ndarray, expected: str):
 
 
 class ConversationChecker:
-    """map_groups fn for the unsalted path (one group = one conversation).
-    Kept as the simple reference implementation; the production path is
-    BucketChecker (many conversations per task, fully vectorized)."""
+    """map_groups fn with one group = one conversation: the simple reference
+    implementation that BucketChecker (many conversations per task, fully
+    vectorized) is tested against."""
 
     def __init__(self, spec: Spec, run_ts: _dt.datetime = DEFAULT_RUN_TS):
         self.spec = spec
@@ -218,7 +228,7 @@ class ConversationChecker:
         ename = self.spec.event_name
         rows = _empty_out()
         turns, ts_us, ts_valid, roles = _group_arrays(g)
-        _check_turn_block(rows, conv, ename, turns, ts_us, ts_valid, True, self.spec)
+        _check_turn_block(rows, conv, ename, turns, ts_us, ts_valid, self.spec)
         first = self.spec.table.first_role
         if first and roles is not None:
             ok, actual = _first_role_info(turns, roles, first)
@@ -295,30 +305,17 @@ class BucketChecker:
     shift), avoiding Ray's per-group UDF dispatch — ~50k tiny conversations
     per second per core instead of ~5k.
 
-    `check_min_zero=False` + `emit_summaries=True` turns it into the salted
-    phase-1 worker over (conv_id, chunk) buckets."""
+    The mode comes from the input columns. Without a `chunk` column every
+    group is one whole conversation. With the `chunk` (≥ 0) and `hot` columns
+    of `conversation_violations`' salt map, a group is one (conv_id, chunk)
+    slice: a cold conversation sits whole in chunk 0 and is checked as
+    above, while each slice of a hot conversation runs the within-slice
+    checks and emits one packed summary row; phase 2 owns a hot
+    conversation's min-turn, first-role and cross-slice checks."""
 
-    def __init__(
-        self,
-        spec: Spec,
-        run_ts: _dt.datetime = DEFAULT_RUN_TS,
-        check_min_zero: bool = True,
-        emit_summaries: bool = False,
-        group_cols: tuple[str, ...] = ("conv_id",),
-        local_chunk0_checks: bool = False,
-    ):
+    def __init__(self, spec: Spec, run_ts: _dt.datetime = DEFAULT_RUN_TS):
         self.spec = spec
         self.run_ts = run_ts
-        self.check_min_zero = check_min_zero
-        self.emit_summaries = emit_summaries
-        self.group_cols = list(group_cols)
-        # salted phase 1: chunk 0 (turns [0, chunk)) always holds the
-        # conversation's GLOBAL min turn when it exists, so min-zero and
-        # first-role finalize locally there and phase 2 only needs summaries
-        # of conversations that are split or start past chunk 0 — shrinking
-        # phase-2 volume from every conversation to just the skewed tail.
-        # _Phase2Bucket(skip_chunk0_checks=True) is the matching half.
-        self.local_chunk0_checks = local_chunk0_checks
         self.__name__ = type(self).__name__
 
     def __call__(self, df) -> pa.Table:
@@ -328,7 +325,6 @@ class BucketChecker:
         ename = spec.event_name
         order = spec.table.order
         out = _VecRows()
-        gcols = self.group_cols
         has_role = "role" in df.columns
         ts_name = order.ts_column if order else "ts"
         has_ts = ts_name in df.columns
@@ -336,7 +332,7 @@ class BucketChecker:
         if not len(df):
             return out.to_table(self.run_ts)
 
-        # single int64 composite group key: factorized conv_id (+ offset chunk)
+        # single int64 composite group key: factorized conv_id (+ chunk)
         # — every internal sort / groupby / merge runs on int keys; the string
         # conv_id only materializes for the (small) violation/summary outputs
         codes, conv_index = pd.factorize(df["conv_id"], sort=False)
@@ -349,24 +345,24 @@ class BucketChecker:
             codes = codes[keep]
             if not len(df):
                 return out.to_table(self.run_ts)
-        if len(gcols) > 1:
-            chunk_np = df[gcols[1]].to_numpy()
-            chunk_min = int(chunk_np.min())
-            factor = int(chunk_np.max()) - chunk_min + 1
-            gkey = codes.astype(np.int64) * factor + (chunk_np - chunk_min)
+        hot_conv = np.zeros(len(conv_index), dtype=bool)
+        if "chunk" in df.columns:
+            chunk_np = df["chunk"].to_numpy().astype(np.int64)
+            factor = int(chunk_np.max()) + 1
+            gkey = codes.astype(np.int64) * factor + chunk_np
+            hot_conv[codes[df["hot"].to_numpy(dtype=bool)]] = True
         else:
-            chunk_min, factor = 0, 1
+            factor = 1
             gkey = codes.astype(np.int64)
+        any_hot = bool(hot_conv.any())
         df = df.assign(_g=gkey)
         conv_arr = np.asarray(conv_index, dtype=object)
 
         def conv_of(gvals) -> pd.Series:
-            g = np.asarray(gvals, dtype=np.int64)
-            return pd.Series(conv_arr[g // factor] if factor > 1 else conv_arr[g])
+            return pd.Series(conv_arr[np.asarray(gvals, dtype=np.int64) // factor])
 
-        def chunk_of(gvals) -> np.ndarray:
-            g = np.asarray(gvals, dtype=np.int64)
-            return (g % factor) + chunk_min
+        def hot_of(gvals) -> np.ndarray:
+            return hot_conv[np.asarray(gvals, dtype=np.int64) // factor]
 
         df = df.sort_values(["_g", "turn_idx"], kind="stable").reset_index(drop=True)
         if has_ts:
@@ -386,6 +382,7 @@ class BucketChecker:
             .agg(n=("_ts", "size"), max_ts=("_ts", "max"))
             .reset_index()
         )
+        agg_hot = hot_of(agg["_g"])
 
         def eid_of(frame) -> np.ndarray:
             return (
@@ -402,17 +399,10 @@ class BucketChecker:
         if order and order.contiguous:
             prev_turn = gb["turn_idx"].shift(1)
             first_row = prev_turn.isna()
-            if self.check_min_zero:
-                m = first_row & (agg["turn_idx"] != 0)
-                sel = agg[m]
-                out.add(eid_of(sel), "turn_idx", "order", "0", sel["turn_idx"].astype(str), ename)
-            elif self.local_chunk0_checks and len(gcols) > 1:
-                # chunk-0 groups own the conversation's min turn: finalize
-                # min-zero here (convs starting past chunk 0 have no chunk-0
-                # group and stay a phase-2 responsibility)
-                m = first_row & (agg["turn_idx"] != 0) & (chunk_of(agg["_g"]) == 0)
-                sel = agg[m]
-                out.add(eid_of(sel), "turn_idx", "order", "0", sel["turn_idx"].astype(str), ename)
+            # min turn of a whole conversation; phase 2 checks the hot ones
+            m = first_row & (agg["turn_idx"] != 0) & ~agg_hot
+            sel = agg[m]
+            out.add(eid_of(sel), "turn_idx", "order", "0", sel["turn_idx"].astype(str), ename)
             m = (~first_row) & (agg["turn_idx"] - prev_turn > 1)
             sel = agg[m]
             out.add(
@@ -469,8 +459,8 @@ class BucketChecker:
                 sel["turn_role"],
                 ename,
             )
-            if self.emit_summaries:
-                g2 = tr.groupby("_g", sort=False)
+            if any_hot:
+                g2 = tr[hot_of(tr["_g"])].groupby("_g", sort=False)
                 alt_summary = pd.DataFrame(
                     {
                         "alt_first_turn": g2["turn_idx"].first(),
@@ -480,8 +470,8 @@ class BucketChecker:
                 )
 
         first = spec.table.first_role
-        summaries = None
-        if (first and has_role and not self.emit_summaries) or self.emit_summaries:
+        first_summary = None
+        if first and has_role:
             min_turn = gb["turn_idx"].first().rename("min_turn")  # agg sorted by turn
             heads = agg.merge(min_turn.reset_index(), on="_g", sort=False)
             at_min = df.merge(
@@ -490,158 +480,103 @@ class BucketChecker:
                 how="inner",
                 sort=False,
             )
-            if first and has_role:
-                am = at_min.assign(_hit=at_min["role"].eq(first))
-                gmin2 = am.groupby("_g", sort=False)
-                info = gmin2.agg(
-                    hit=("_hit", "any"), mturn=("turn_idx", "first")
-                )
-                # min over NON-NULL roles only (object-dtype min chokes on
-                # NaN/str mixes; groups that are all-null stay absent -> None)
-                nn = am.dropna(subset=["role"])
-                min_role = nn.groupby("_g", sort=False)["role"].min().rename("min_role")
-                info = info.join(min_role).reset_index()
-                info["min_role"] = info["min_role"].where(info["min_role"].notna(), None)
-                if self.emit_summaries:
-                    summaries = info.set_index("_g")[["hit", "min_role"]].rename(
-                        columns={"hit": "first_ok"}
-                    )
-                    if self.local_chunk0_checks and len(gcols) > 1:
-                        # chunk-0 min turn IS the conversation min turn:
-                        # finalize the first-role check locally (phase 2
-                        # skips chunk-0-anchored convs via skip_chunk0_checks)
-                        bad = info[~info["hit"] & (chunk_of(info["_g"]) == 0)]
-                        out.add(
-                            (
-                                conv_of(bad["_g"]).astype(str).to_numpy(dtype=object)
-                                + ":"
-                                + bad["mturn"].astype(str).to_numpy(dtype=object)
-                            ),
-                            "role",
-                            "ref",
-                            f"first_role={first}",
-                            bad["min_role"],
-                            ename,
-                        )
-                else:
-                    bad = info[~info["hit"]]
-                    out.add(
-                        (conv_of(bad["_g"]).astype(str).to_numpy(dtype=object) + ":" + bad["mturn"].astype(str).to_numpy(dtype=object)),
-                        "role",
-                        "ref",
-                        f"first_role={first}",
-                        bad["min_role"],
-                        ename,
-                    )
+            am = at_min.assign(_hit=at_min["role"].eq(first))
+            info = am.groupby("_g", sort=False).agg(
+                hit=("_hit", "any"), mturn=("turn_idx", "first")
+            )
+            # min over NON-NULL roles only (object-dtype min chokes on
+            # NaN/str mixes; groups that are all-null stay absent -> None)
+            nn = am.dropna(subset=["role"])
+            min_role = nn.groupby("_g", sort=False)["role"].min().rename("min_role")
+            info = info.join(min_role).reset_index()
+            info["min_role"] = info["min_role"].where(info["min_role"].notna(), None)
+            info_hot = hot_of(info["_g"])
+            bad = info[~info["hit"] & ~info_hot]
+            out.add(
+                (
+                    conv_of(bad["_g"]).astype(str).to_numpy(dtype=object)
+                    + ":"
+                    + bad["mturn"].astype(str).to_numpy(dtype=object)
+                ),
+                "role",
+                "ref",
+                f"first_role={first}",
+                bad["min_role"],
+                ename,
+            )
+            first_summary = info[info_hot].set_index("_g")[["hit", "min_role"]].rename(
+                columns={"hit": "first_ok"}
+            )
 
-        if self.emit_summaries:
+        if any_hot:
+            # one packed summary row per slice of a hot conversation
+            agg_h = agg[agg_hot].groupby("_g", sort=False)
+            row_hot = hot_of(df["_g"])
             stats = pd.DataFrame(
                 {
-                    "min_turn": gb["turn_idx"].min(),
-                    "max_turn": gb["turn_idx"].max(),
-                    "max_ts": gb["max_ts"].max(),
-                    "min_ts": (
-                        pd.DataFrame({"_g": df["_g"], "_ts": ts})
-                        .groupby("_g", sort=False)["_ts"]
-                        .min()
-                    ),
+                    "min_turn": agg_h["turn_idx"].min(),
+                    "max_turn": agg_h["turn_idx"].max(),
+                    "max_ts": agg_h["max_ts"].max(),
+                    "min_ts": ts[row_hot].groupby(df["_g"][row_hot], sort=False).min(),
                 }
             )
-            if summaries is not None:
-                stats = stats.join(summaries)
-            if alt_summary is not None:
-                stats = stats.join(alt_summary)
-            if order and order.ts_monotone and has_ts and len(gcols) > 1:
-                # chunk>0 groups (the split tail, and the only possible ts
-                # suspects) carry their per-row (turn_idx, ts) CSVs so phase 2
-                # can finalize cross-chunk ts checks without a corpus rescan
-                split_rows = df[gcols[1]].to_numpy() > 0
-                if split_rows.any():
-                    tsub = ts.to_numpy()[split_rows]
-                    vstr = np.where(
-                        np.isnan(tsub),
-                        "",
-                        np.nan_to_num(tsub).astype(np.int64).astype(str),
-                    ).astype(object)
-                    sub = pd.DataFrame(
-                        {
-                            "_g": df["_g"].to_numpy()[split_rows],
-                            "t": df["turn_idx"].to_numpy()[split_rows].astype(np.int64).astype(str),
-                            "v": vstr,
-                        }
-                    )
-                    ts_pack = sub.groupby("_g", sort=False).agg(
+            for extra in (first_summary, alt_summary):
+                if extra is not None:
+                    stats = stats.join(extra)
+            split_rows = df["chunk"].to_numpy() > 0
+            if order and order.ts_monotone and has_ts and split_rows.any():
+                # chunk>0 slices (the split tail, and the only possible ts
+                # suspects) carry their per-row (turn_idx, ts) CSVs so phase
+                # 2 can finalize cross-chunk ts checks without a corpus
+                # rescan; cold conversations are all chunk 0
+                tsub = ts.to_numpy()[split_rows]
+                vstr = np.where(
+                    np.isnan(tsub), "", np.nan_to_num(tsub).astype(np.int64).astype(str)
+                ).astype(object)
+                sub = pd.DataFrame(
+                    {
+                        "_g": df["_g"].to_numpy()[split_rows],
+                        "t": df["turn_idx"].to_numpy()[split_rows].astype(np.int64).astype(str),
+                        "v": vstr,
+                    }
+                )
+                stats = stats.join(
+                    sub.groupby("_g", sort=False).agg(
                         ts_turns=("t", ",".join), ts_vals=("v", ",".join)
                     )
-                    stats = stats.join(ts_pack)
-            stats = stats.reset_index()
-            n_stats = len(stats)
-            gv = stats["_g"].to_numpy(dtype=np.int64)
-            conv_vals = conv_arr[gv // factor]
-            chunk_col = pd.Series(
-                (gv % factor) + chunk_min
-                if len(gcols) > 1
-                else np.zeros(len(gv), dtype=np.int64)
-            )
-
-            def s_int(col, default=""):
-                if col not in stats.columns:
-                    return np.full(n_stats, default, dtype=object)
-                v = pd.to_numeric(stats[col], errors="coerce").to_numpy(dtype="float64")
-                mask = np.isnan(v)
-                vals = np.where(mask, 0, v).astype(np.int64).astype(str).astype(object)
-                vals[mask] = ""
-                return vals
-
-            def s_str(col):
-                if col not in stats.columns:
-                    return np.full(n_stats, "", dtype=object)
-                return stats[col].fillna("").astype(str).to_numpy(dtype=object)
-
-            def s_bool(col):
-                if col not in stats.columns:
-                    return np.full(n_stats, "", dtype=object)
-                return np.where(stats[col].astype(bool), "1", "0").astype(object)
-
-            cols = [
-                s_int("min_turn"),
-                s_int("max_turn"),
-                s_int("max_ts"),
-                s_int("min_ts"),
-                chunk_col.astype(str).to_numpy(dtype=object),
-                s_bool("first_ok"),
-                s_str("min_role"),
-                s_int("alt_first_turn"),
-                s_str("alt_first_role"),
-                s_str("alt_last_role"),
-                s_str("ts_turns"),
-                s_str("ts_vals"),
-            ]
-            payloads = (
-                pd.Series(cols[0])
-                .str.cat([pd.Series(c) for c in cols[1:]], sep=SUMMARY_SEP)
-                .to_numpy(dtype=object)
-            )
-            conv_str = pd.Series(conv_vals).astype(str).to_numpy(dtype=object)
-            eids = conv_str + ":" + chunk_col.astype(str).to_numpy(dtype=object)
-            # chunk>0 summaries get a distinct status: their conv set IS the
-            # split/skewed tail phase 2 must merge, and tagging here lets the
-            # merge task find it on the PACKED rows (no unpack of the full
-            # summary table — only hot convs' rows are ever unpacked)
-            split_m = (chunk_col > 0).to_numpy()
-            for status, m in (("summary", ~split_m), ("summary_split", split_m)):
-                if m.any():
-                    out.add(
-                        eids[m],
-                        None,
-                        "summary",
-                        None,
-                        None,
-                        conv_vals[m],
-                        status=status,
-                        payload=payloads[m],
-                    )
+                )
+            eids, convs, payloads = _pack_summaries(stats, conv_arr, factor)
+            out.add(eids, None, "summary", None, None, convs, status="summary", payload=payloads)
         return out.to_table(self.run_ts)
+
+
+def _pack_summaries(stats, conv_arr: np.ndarray, factor: int):
+    """Per-slice stats (indexed by the composite group key) -> the summary
+    rows' (event_id f"{conv}:{chunk}", conv, packed payload): SUMMARY_FIELDS
+    joined by SUMMARY_SEP, "" = null."""
+    import pandas as pd
+
+    gv = stats.index.to_numpy(dtype=np.int64)
+    stats = stats.reset_index(drop=True)
+    stats["chunk"] = gv % factor
+    cols = []
+    for c in SUMMARY_FIELDS:
+        if c not in stats.columns:
+            col = np.full(len(stats), "", dtype=object)
+        elif c == "first_ok":
+            col = np.where(stats[c].astype(bool), "1", "0").astype(object)
+        elif c in ("min_role", "alt_first_role", "alt_last_role", "ts_turns", "ts_vals"):
+            col = stats[c].fillna("").astype(str).to_numpy(dtype=object)
+        else:
+            v = pd.to_numeric(stats[c], errors="coerce").to_numpy(dtype="float64")
+            col = np.where(np.isnan(v), 0, v).astype(np.int64).astype(str).astype(object)
+            col[np.isnan(v)] = ""
+        cols.append(pd.Series(col))
+    payloads = cols[0].str.cat(cols[1:], sep=SUMMARY_SEP).to_numpy(dtype=object)
+    conv_vals = conv_arr[gv // factor]
+    chunk_str = cols[SUMMARY_FIELDS.index("chunk")].to_numpy()
+    eids = pd.Series(conv_vals).astype(str).to_numpy(dtype=object) + ":" + chunk_str
+    return eids, conv_vals, payloads
 
 
 def _project(ds, spec: Spec):
@@ -684,79 +619,122 @@ def _with_bucket(ds, num_buckets: int, cols: tuple[str, ...] = ("conv_id",)):
     return ds.map_batches(add_bucket, batch_format="pyarrow")
 
 
-def detect_skew(
-    ds,
-    within: str = "conv_id",
-    sample_frac: float = 0.02,
-    seed: int = 7,
-    top_k: int = 5,
-) -> dict:
-    """Heavy-hitter probe for the grouping key: sampled value-counts estimate
-    the largest group's share of all rows (the 'detect skew from a conv_id
-    heavy-hitter sketch' step, SURVEY.md §4.2). Drives the auto choice
-    between the plain and salted conversation paths."""
-    from .assembly import bucketed_count_per_key
+def detect_skew(ds, chunk: int = 10_000) -> tuple[int, list]:
+    """(rows seen, hot set): the hot set is the sorted conv_ids of which
+    some block holds at least `chunk` rows. Map-only (per-block value
+    counts, no shuffle); the driver pull is bounded by Σ rows / `chunk`
+    + blocks (`sketches.local_frequency_candidates`)."""
+    from .sketches import local_frequency_candidates
 
-    # ONE execution of the sampled lineage: the distributed value-counts are
-    # materialized (object-store, spillable; bounded by distinct keys in the
-    # sample) and BOTH total and top-k derive from them — re-executing the
-    # seeded random_sample per consumer could mix two different samples if
-    # per-task sampling isn't bit-stable across block layouts. Counts via
-    # the bucketed reducer: distinct convs in the sample scale with the
-    # corpus (the sort-aggregate group-cardinality pathology, CLAUDE.md).
-    sample = ds.select_columns([within]).random_sample(sample_frac, seed=seed)
-    vc = bucketed_count_per_key(sample, within, "n").materialize()
-    total = int(vc.sum("n") or 0)
-    # only the top-k rows reach the driver (a 2% sample of 10^12 turns is
-    # still 10^10 rows — never collect it)
-    top_rows = vc.sort("n", descending=True).limit(top_k).take_all()
-    top = [(str(r[within]), int(r["n"])) for r in top_rows]
-    return {
-        "sampled_rows": total,
-        "top": top,
-        "max_share": (top[0][1] / total) if (total and top) else 0.0,
-    }
+    n_rows, pulled = local_frequency_candidates(ds, "conv_id", lambda _nb: chunk)
+    return n_rows, sorted(set(pulled))
 
 
-def conversation_violations_auto(
-    ds,
-    spec: Spec,
-    run_ts: _dt.datetime = DEFAULT_RUN_TS,
-    skew_share_threshold: float = 0.01,
-    chunk: int = 10_000,
-    num_buckets: int = 64,
-):
-    """Choose the salted path automatically when the heaviest conversation
-    holds more than `skew_share_threshold` of (sampled) rows — i.e. when a
-    single group could dominate one task."""
-    probe = detect_skew(ds, within=spec.table.order.within if spec.table.order else "conv_id")
-    if probe["max_share"] > skew_share_threshold:
-        return conversation_violations_salted(ds, spec, run_ts, chunk=chunk)
-    return conversation_violations(ds, spec, run_ts, num_buckets=num_buckets)
+def _phase1(ds, spec: Spec, run_ts: _dt.datetime, hot: list, chunk: int, num_buckets: int):
+    """Within-slice violation rows plus one packed summary row per slice of
+    a hot conversation."""
+    hot_arr = pa.array(hot)
+
+    def add_salt(t: pa.Table) -> pa.Table:
+        # max(turn_idx // chunk, 0) for hot conversations, 0 for the rest.
+        # The clamp makes truncating division equal to floor division and
+        # keeps dirty NEGATIVE turn_idx in chunk 0 with its conversation's
+        # head
+        is_hot = pc.fill_null(
+            pc.is_in(t["conv_id"], value_set=hot_arr.cast(t.schema.field("conv_id").type)),
+            False,
+        )
+        salt = pc.max_element_wise(
+            pc.divide(pc.cast(t["turn_idx"], pa.int64()), chunk),
+            pa.scalar(0, pa.int64()),
+        )
+        salt = pc.if_else(is_hot, salt, pa.scalar(0, pa.int64()))
+        return t.append_column("chunk", salt).append_column("hot", is_hot)
+
+    salted = _project(ds, spec).map_batches(add_salt, batch_format="pyarrow")
+    return (
+        _with_bucket(salted, num_buckets, cols=("conv_id", "chunk"))
+        .groupby("bucket")
+        .map_groups(BucketChecker(spec, run_ts), batch_format="pandas")
+    )
 
 
 def conversation_violations(
     ds,
     spec: Spec,
     run_ts: _dt.datetime = DEFAULT_RUN_TS,
+    chunk: int = 10_000,
     num_buckets: int = 64,
 ):
-    """Unsalted path: project -> hash-bucket by conv_id -> one vectorized
-    pass per bucket (complete conversations per bucket by construction).
-    Use for normal conversation-size distributions; the salted variant below
-    handles pathological single-conversation skew."""
-    return (
-        _with_bucket(_project(ds, spec), num_buckets)
+    """Per-conversation wide checks; no task holds more than about `chunk`
+    rows of one hot conversation. Exact whatever the hot set holds: a cold
+    conversation is checked whole in one group, and row count (not turn
+    value) decides salting, so sparse gap conversations stay cold.
+
+    Phase 1 hash-buckets (conv_id, chunk) groups. Phase 2 runs only when the
+    hot set is non-empty: it merges the hot conversations' packed summaries
+    per conv-hash bucket, then drops phase 1's ts rows of suspect chunks and
+    unions phase 2's corrected rows."""
+    import ray
+    import ray.data as rd
+
+    n_rows, hot = detect_skew(ds, chunk)
+    if not n_rows:
+        # an empty map_groups output carries no schema
+        return rd.from_arrow(VIOLATION_SCHEMA.empty_table())
+    phase1 = _phase1(ds, spec, run_ts, hot, chunk, num_buckets)
+    if not hot:
+        return phase1
+    # materialized: tiny vs the input, consumed twice
+    phase1 = phase1.materialize()
+    p2 = (
+        _with_bucket(phase1.filter(expr="status == 'summary'"), num_buckets, cols=("event_name",))
         .groupby("bucket")
-        .map_groups(
-            BucketChecker(spec, run_ts, check_min_zero=True),
-            batch_format="pandas",
-        )
+        .map_groups(_Phase2Packed(spec, run_ts), batch_format="pandas")
     )
+    # only phase 2's issue-bounded OUTPUT (cross-chunk violations + suspect
+    # markers of hot conversations) reaches the driver
+    p2_tbl = pa.Table.from_pylist(p2.take_all(), schema=VIOLATION_SCHEMA)
+    err2 = p2_tbl.filter(pc.equal(p2_tbl["status"], "error"))
+    sus = p2_tbl.filter(pc.equal(p2_tbl["status"], "suspect"))
+    out = phase1.filter(expr="status == 'error'")
+    if sus.num_rows:
+        # phase 2's payload re-check owns ALL ts-order rows of suspect chunks
+        # (in err2): drop phase 1's, whose `expected` is only the WITHIN-chunk
+        # prefix max. Keys travel via the object store, never a literal
+        # expression
+        suspect_ref = ray.put(frozenset(sus["event_id"].to_pylist()))
+        ts_name = spec.table.order.ts_column if spec.table.order else "ts"
+
+        def drop_suspect_ts(df: "pd.DataFrame") -> pa.Table:
+            keys = suspect_ref
+            if isinstance(keys, ray.ObjectRef):
+                keys = ray.get(keys)
+            is_ts = (df["field"] == ts_name) & (df["error_type"] == "order")
+            if is_ts.any():
+                split = df.loc[is_ts, "event_id"].str.rsplit(":", n=1)
+                ch = (split.str[1].astype("int64") // chunk).clip(lower=0).astype(str)
+                drop = is_ts.copy()
+                drop.loc[is_ts] = (split.str[0] + ":" + ch).isin(keys)
+                df = df[~drop]
+            # ARROW in the canonical schema so the union below mixes no
+            # pandas-vs-arrow block representations
+            return _violation_table(df)
+
+        out = out.map_batches(drop_suspect_ts, batch_format="pandas")
+    # union phase 2's corrected rows only AFTER the drop: they live in
+    # suspect chunks by construction and must survive
+    if err2.num_rows:
+        out = out.union(rd.from_arrow(err2))
+    return out
+
+
+#: the registry name `conversation_checks_salted` and the benchmarks call it
+conversation_violations_salted = conversation_violations
 
 
 # ---------------------------------------------------------------------------
-# Salted two-phase variant (skew mitigation)
+# Phase 2: boundary merge of hot conversations' slice summaries
 # ---------------------------------------------------------------------------
 
 
@@ -776,47 +754,27 @@ def _unpack_summaries(df: "pd.DataFrame") -> "pd.DataFrame":
     structured frame (vectorized split; no per-row JSON)."""
     import pandas as pd
 
-    # fresh RangeIndex: `out[c] = parts[c]` below aligns BY INDEX, and the
-    # driver branch passes a boolean-filtered (gapped-index) frame
-    df = df.reset_index(drop=True)
     parts = df["event_data"].str.split(SUMMARY_SEP, expand=True)
-    parts.columns = SUMMARY_FIELDS[: parts.shape[1]]
-    out = pd.DataFrame({"conv": df["event_name"].to_numpy()})
+    parts.columns = SUMMARY_FIELDS
+    out = parts.where(parts != "").assign(conv=df["event_name"])
     for c in ("min_turn", "max_turn", "max_ts", "min_ts", "chunk", "alt_first_turn"):
-        # mask-then-to_numeric: `.replace("", nan)` trips the pandas
-        # silent-downcasting FutureWarning in every worker
-        out[c] = pd.to_numeric(parts[c].where(parts[c] != "")) if c in parts else np.nan
-    out["first_ok"] = parts["first_ok"] if "first_ok" in parts else ""
-    for c in ("min_role", "alt_first_role", "alt_last_role"):
-        out[c] = parts[c].where(parts[c] != "") if c in parts else np.nan
-    for c in ("ts_turns", "ts_vals"):
-        out[c] = parts[c] if c in parts else ""
+        out[c] = pd.to_numeric(out[c])
     return out
 
 
-class _Phase2Bucket:
-    """DISTRIBUTED phase 2: one task processes a hash bucket of whole
-    conversations' per-chunk summaries with vectorized pandas kernels
-    (shift / cummax / ffill boundary carry) — cross-chunk contiguity,
-    min-turn-zero, first-role and alternation-carry violations, plus
+class _Phase2Packed:
+    """Phase 2 over one conv-hash bucket of PACKED hot-conversation summary
+    rows: unpacks them and merges chunk boundaries with vectorized pandas
+    kernels (shift / cummax / ffill carry) — min-turn-zero, cross-chunk
+    contiguity, first-role and alternation-carry violations, plus
     `status='suspect'` marker rows (event_id=f"{conv}:{chunk}",
     expected=str(prefix_max)) driving the phase-1 suspect ts-row drop, plus
     the corrected cross-chunk ts-order rows re-checked from the chunk>0
-    summaries' carried (turn_idx, ts) payloads. Replaces the
-    old driver-side merge: at 10^12 turns the summary table (one row per
-    conv × chunk) is itself corpus-scale and must never be collected."""
+    summaries' carried (turn_idx, ts) payloads."""
 
-    def __init__(
-        self, spec: Spec, run_ts: _dt.datetime, skip_chunk0_checks: bool = False
-    ):
+    def __init__(self, spec: Spec, run_ts: _dt.datetime):
         self.spec = spec
         self.run_ts = run_ts
-        # True when phase 1 ran with local_chunk0_checks: min-zero and
-        # first-role were already finalized for conversations anchored at
-        # chunk 0, so only convs starting past chunk 0 need them here — and
-        # a single-chunk-0 conversation contributes NOTHING to phase 2,
-        # letting the caller drop its summary from the phase-2 input.
-        self.skip_chunk0_checks = skip_chunk0_checks
         self.__name__ = type(self).__name__
 
     def __call__(self, df: "pd.DataFrame") -> pa.Table:
@@ -826,7 +784,7 @@ class _Phase2Bucket:
         ename = spec.event_name
         order = spec.table.order
         out = _VecRows()
-        df = df.sort_values(["conv", "chunk"]).reset_index(drop=True)
+        df = _unpack_summaries(df).sort_values(["conv", "chunk"]).reset_index(drop=True)
         g = df.groupby("conv", sort=False)
         first = (g.cumcount() == 0).to_numpy()
         conv = df["conv"].astype(str)
@@ -836,13 +794,8 @@ class _Phase2Bucket:
                 conv[mask] + ":" + turns[mask].astype("int64").astype(str)
             ).to_numpy(dtype=object)
 
-        past0 = (
-            (df["chunk"] > 0).to_numpy()
-            if self.skip_chunk0_checks
-            else np.ones(len(df), dtype=bool)
-        )
         if order and order.contiguous:
-            m = first & (df["min_turn"] != 0).to_numpy() & past0
+            m = first & (df["min_turn"] != 0).to_numpy()
             out.add(
                 eid(m, df["min_turn"]),
                 "turn_idx",
@@ -864,7 +817,7 @@ class _Phase2Bucket:
 
         fr = spec.table.first_role
         if fr is not None:
-            m = first & (df["first_ok"] == "0").to_numpy() & past0
+            m = first & (df["first_ok"] == "0").to_numpy()
             out.add(
                 eid(m, df["min_turn"]),
                 "role",
@@ -927,11 +880,11 @@ class _Phase2Bucket:
                 status="suspect",
             )
             # ...and emit the CORRECTED ts-order rows directly from the
-            # chunk's carried (turn_idx, ts) payload — the old phase-3
-            # full-corpus rescan is gone. Semantics identical to the unsalted
-            # path: a row violates iff ts < max(within-chunk prev-turn max,
-            # earlier-chunk prefix max), expected = that effective max.
-            if m.any() and "ts_turns" in df.columns:
+            # chunk's carried (turn_idx, ts) payload. Semantics identical to a
+            # whole conversation: a row violates iff ts < max(within-chunk
+            # prev-turn max, earlier-chunk prefix max), expected = that
+            # effective max.
+            if m.any():
                 ts_name = order.ts_column or "ts"
                 for tcsv, vcsv, conv_s, P in zip(
                     df.loc[m, "ts_turns"],
@@ -939,7 +892,7 @@ class _Phase2Bucket:
                     conv[m],
                     prefix[m].to_numpy(dtype="float64"),
                 ):
-                    if not isinstance(tcsv, str) or not tcsv:
+                    if not isinstance(tcsv, str):  # no rows carried
                         continue
                     turns = np.array(tcsv.split(","), dtype=np.int64)
                     vals = np.array(
@@ -968,237 +921,3 @@ class _Phase2Bucket:
                             ename,
                         )
         return out.to_table(self.run_ts)
-
-
-class _Phase2Packed:
-    """Phase 2 over PACKED summary rows: finds the hot (split / past-chunk-0)
-    conversations via the `summary_split` status tag, unpacks ONLY their rows
-    (the expensive `str.split` runs on the skewed tail, never the full
-    summary table) and runs the `_Phase2Bucket` boundary merge. Works both
-    coalesced (one task holds all summaries) and per conv-hash bucket —
-    a conversation's chunks always co-locate either way."""
-
-    def __init__(self, spec: Spec, run_ts: _dt.datetime):
-        self.spec = spec
-        self.run_ts = run_ts
-        self.__name__ = type(self).__name__
-
-    def __call__(self, df: "pd.DataFrame") -> pa.Table:
-        hot = set(df.loc[df["status"] == "summary_split", "event_name"])
-        sub = df[df["event_name"].isin(hot)] if hot else df.iloc[0:0]
-        if not len(sub):
-            return _finish(_empty_out(), self.run_ts)
-        return _Phase2Bucket(self.spec, self.run_ts, skip_chunk0_checks=True)(
-            _unpack_summaries(sub)
-        )
-
-
-
-def conversation_violations_salted(
-    ds,
-    spec: Spec,
-    run_ts: _dt.datetime = DEFAULT_RUN_TS,
-    chunk: int = 10_000,
-    driver_max_rows: int = 500_000,
-    driver_max_bytes: int = 256 * 1024 * 1024,
-    take_all_max_rows: int = 2_000_000,
-    take_all_max_bytes: int = 1024 * 1024 * 1024,
-):
-    """Salted two-phase path. Produces exactly the same violation rows as
-    `conversation_violations` (property-tested), but no single task ever holds
-    more than ~`chunk` turns of one conversation.
-
-    Partitioning assumption: equal (conv_id, turn_idx) pairs share a salt
-    chunk, so uniqueness and within-chunk checks are exact; only boundary
-    contiguity and cross-chunk ts ordering need the (tiny) summary merge.
-    """
-    import pandas as pd
-    import pyarrow.compute as _pc
-
-    projected = _project(ds, spec)
-
-    def add_salt(t: pa.Table) -> pa.Table:
-        salt = _pc.cast(
-            _pc.floor(_pc.divide(_pc.cast(t["turn_idx"], pa.float64()), chunk)),
-            pa.int64(),
-        )
-        # clamp to chunk 0: dirty data with NEGATIVE turn_idx must land in
-        # the chunk that owns min-turn finalization (floor division would
-        # put it in chunk -1, which every chunk-0-anchored assumption —
-        # local min-zero/first-role, summary_split tagging, past0 — misses)
-        salt = _pc.max_element_wise(salt, pa.scalar(0, pa.int64()))
-        return t.append_column("chunk", salt)
-
-    salted = projected.map_batches(add_salt, batch_format="pyarrow")
-    # Phase 1 output = within-chunk violations + per-chunk summaries; groups
-    # are (conv_id, chunk) hash-bucketed so one task handles many chunks
-    # vectorized and no task ever holds more than ~chunk turns of one
-    # conversation. Materialized: tiny vs the input, consumed twice.
-    phase1 = (
-        _with_bucket(salted, 64, cols=("conv_id", "chunk"))
-        .groupby("bucket")
-        .map_groups(
-            BucketChecker(
-                spec,
-                run_ts,
-                check_min_zero=False,
-                emit_summaries=True,
-                group_cols=("conv_id", "chunk"),
-                local_chunk0_checks=True,
-            ),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
-    # phase 2: unpack the packed summaries and merge chunk boundaries per
-    # conversation. The summary table is one row per (conv, chunk) — far
-    # below the corpus. When the WHOLE phase-1 output is driver-sized
-    # (phase1.count() bounds it, free on materialized data), pull it once:
-    # phase 2 (including the payload ts re-check), the suspect-row drop and
-    # the violation re-emit all happen driver-side, leaving ONE pre-built
-    # final block. Corpus-scale phase-1 output (10^12 turns)
-    # takes the distributed hash-bucketed path, where only phase 2's OUTPUT
-    # (cross-chunk violations + suspect markers, bounded by actual issues)
-    # is ever collected.
-    import ray.data as _rd
-
-    ts_name = spec.table.order.ts_column if spec.table.order else "ts"
-    suspects: list[tuple[str, int, int]] = []
-    # gate on BYTES as well as rows: chunk>0 summary rows carry ~chunk-sized
-    # (turn_idx, ts) CSV payloads, so row count alone understates the pull
-    # at exactly the skew this path targets (one 10^9-turn conversation is
-    # ~10^5 summary rows but tens of GB of payload)
-    phase1_bytes = phase1.size_bytes() or 0
-    driver_branch = (
-        phase1.count() <= driver_max_rows and phase1_bytes <= driver_max_bytes
-    )
-    if driver_branch:
-        pdf = phase1.to_pandas()
-        if not len(pdf):
-            # empty/fully-clean shard: an empty to_pandas loses columns (the
-            # documented Ray empty-Dataset schema hazard) — return the typed
-            # empty violation table instead of KeyError-ing downstream
-            return _rd.from_arrow(
-                pa.Table.from_pylist([], schema=VIOLATION_SCHEMA)
-            )
-        is_sum = pdf["status"].str.startswith("summary")
-        viol1_df = pdf[~is_sum]
-        p2_tbl = None
-        if bool(is_sum.any()):
-            # phase 1 finalized chunk-0-anchored convs: unpack and merge only
-            # convs that are split or start past chunk 0 (summary_split tag)
-            p2_tbl = _Phase2Packed(spec, run_ts)(pdf[is_sum])
-        err2 = None
-        if p2_tbl is not None and p2_tbl.num_rows:
-            err2 = p2_tbl.filter(pc.equal(p2_tbl["status"], "error"))
-            sus = p2_tbl.filter(pc.equal(p2_tbl["status"], "suspect"))
-            for c_ch, pm in zip(
-                sus["event_id"].to_pylist(), sus["expected"].to_pylist()
-            ):
-                c, ch = c_ch.rsplit(":", 1)
-                suspects.append((c, int(ch), int(pm)))
-    else:
-        viol1 = phase1.filter(expr="status == 'error'")
-        out = viol1
-        # phase 1 finalized chunk-0-anchored convs, so phase 2's REAL input
-        # is only convs with a `summary_split` (chunk>0) row — the skewed /
-        # split tail, not every conversation. The merge task finds that tail
-        # on the PACKED rows and unpacks only it (`_Phase2Packed`); with a
-        # driver-bounded summary table one coalesced task beats a second
-        # shuffle, corpus-scale summaries take the conv-hash bucketed merge.
-        summaries_raw = phase1.filter(expr="status != 'error'")
-        if (
-            phase1.count() <= take_all_max_rows
-            and phase1_bytes <= take_all_max_bytes
-        ):
-            # summary rows are a subset of the (materialized, counted) phase-1
-            # output: one filter execution ships them to the driver and the
-            # boundary merge runs locally — no repartition barrier, no task
-            # round-trip for a table this small
-            sum_rows = summaries_raw.take_all()
-            p2_tbl = (
-                _Phase2Packed(spec, run_ts)(pd.DataFrame(sum_rows))
-                if sum_rows
-                else _finish(_empty_out(), run_ts)
-            )
-        else:
-            # corpus-scale summaries: conv-hash bucketed distributed merge;
-            # only its issue-bounded OUTPUT is collected
-            p2_ds = (
-                _with_bucket(summaries_raw, 64, cols=("event_name",))
-                .groupby("bucket")
-                .map_groups(_Phase2Packed(spec, run_ts), batch_format="pandas")
-            )
-            p2_tbl = pa.Table.from_pylist(
-                p2_ds.take_all(), schema=VIOLATION_SCHEMA
-            )
-        err2 = p2_tbl.filter(pc.equal(p2_tbl["status"], "error"))
-        # NOTE: err2 is unioned AFTER the suspect-ts drop below — phase 2's
-        # corrected ts rows live in suspect chunks by construction, so a
-        # drop over the union would erase the very rows that replace the
-        # dropped phase-1 ones
-        sus = p2_tbl.filter(pc.equal(p2_tbl["status"], "suspect"))
-        for c_ch, pm in zip(
-            sus["event_id"].to_pylist(), sus["expected"].to_pylist()
-        ):
-            c, ch = c_ch.rsplit(":", 1)
-            suspects.append((c, int(ch), int(pm)))
-    suspect_keys = frozenset(f"{c}:{ch}" for (c, ch, _pm) in suspects)
-    # phase 2's payload re-check owns ALL ts-order rows for suspect chunks
-    # (emitted into err2 above): drop phase 1's (their `expected` is only the
-    # WITHIN-chunk prefix max — wrong when an earlier chunk holds the running
-    # max).
-    if driver_branch:
-        if suspects and len(viol1_df):
-            is_ts = (viol1_df["field"] == ts_name) & (
-                viol1_df["error_type"] == "order"
-            )
-            if is_ts.any():
-                split = viol1_df.loc[is_ts, "event_id"].str.rsplit(":", n=1)
-                conv = split.str[0]
-                ch = (
-                    (split.str[1].astype("int64") // chunk)
-                    .clip(lower=0)
-                    .astype(str)
-                )
-                drop = is_ts.copy()
-                drop.loc[is_ts] = (conv + ":" + ch).isin(suspect_keys)
-                viol1_df = viol1_df[~drop]
-        tables = [_violation_table(viol1_df)]
-        if err2 is not None and err2.num_rows:
-            tables.append(err2)
-        out = _rd.from_arrow(pa.concat_tables(tables))
-    else:
-        if suspects:
-            # distributed branch: suspect keys broadcast via the object
-            # store, never a literal expression
-            import ray as _ray
-
-            suspect_ref = _ray.put(suspect_keys)
-
-            def drop_suspect_ts(df: "pd.DataFrame") -> pa.Table:
-                keys = suspect_ref
-                if isinstance(keys, _ray.ObjectRef):
-                    keys = _ray.get(keys)
-                is_ts = (df["field"] == ts_name) & (df["error_type"] == "order")
-                if is_ts.any():
-                    split = df.loc[is_ts, "event_id"].str.rsplit(":", n=1)
-                    conv = split.str[0]
-                    ch = (
-                        (split.str[1].astype("int64") // chunk)
-                        .clip(lower=0)
-                        .astype(str)
-                    )
-                    drop = is_ts.copy()
-                    drop.loc[is_ts] = (conv + ":" + ch).isin(keys)
-                    df = df[~drop]
-                # emit ARROW in the canonical schema so the downstream union
-                # mixes no pandas-vs-arrow block representations
-                return _violation_table(df)
-
-            out = out.map_batches(drop_suspect_ts, batch_format="pandas")
-        # union phase 2's corrected rows only AFTER the drop: they live in
-        # suspect chunks by construction and must survive
-        if err2.num_rows:
-            out = out.union(_rd.from_arrow(err2))
-    return out

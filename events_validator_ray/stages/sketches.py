@@ -554,16 +554,50 @@ def drift_report(
     return pd.DataFrame(rows)
 
 
+def local_frequency_candidates(ds, col: str, need) -> tuple[int, list]:
+    """Map-only candidate pass: every value of `col` that one block holds at
+    least `need(block_rows)` times (never fewer than once). At most
+    block_rows / need values qualify per block, so the driver pull — one
+    value per (block, qualifying value) plus one row count per block — is
+    bounded by Σ rows / need + blocks, whatever the number of distinct
+    values. Returns (rows seen, pulled values with duplicates across
+    blocks). Nulls never qualify."""
+
+    def local_candidates(t: pa.Table) -> pa.Table:
+        out_type = t.schema.field(col).type
+        counts = pd.Series(t[col].to_numpy(zero_copy_only=False)).value_counts()
+        cand = list(counts.index[counts.to_numpy() >= max(need(len(t)), 1)])
+        # the block's row count rides on a trailing null-value row
+        return pa.table(
+            {
+                col: pa.array(cand + [None], type=out_type),
+                "_rows": pa.array([0] * len(cand) + [len(t)], pa.int64()),
+            }
+        )
+
+    local_candidates.__name__ = "local_frequency_candidates"
+    rows = (
+        ds.select_columns([col])
+        .map_batches(local_candidates, batch_format="pyarrow", batch_size=None)
+        .take_all()
+    )
+    return (
+        sum(r["_rows"] for r in rows),
+        [r[col] for r in rows if r[col] is not None],
+    )
+
+
 def heavy_hitters_exact(ds, col: str, threshold_permille: int = 8):
     """Distributed frequent-items with an EXACT answer in two linear passes
     (the space-saving/Misra-Gries pipeline with the exact verify that makes
     it oracle-checkable):
 
-    - Pass 1 (candidates): per-batch value_counts emits items whose LOCAL
-      frequency ≥ threshold. Pigeonhole guarantees a superset: an item with
-      global frequency ≥ t has frequency ≥ t in at least one batch. The
-      candidate set is bounded by blocks × 1000/threshold_permille — a
-      documented bounded driver pull, independent of corpus size.
+    - Pass 1 (candidates, `local_frequency_candidates`): per-block
+      value_counts emits items whose LOCAL frequency ≥ threshold.
+      Pigeonhole guarantees a superset: an item with global frequency ≥ t
+      has frequency ≥ t in at least one block. The candidate set is
+      bounded by blocks × 1000/threshold_permille — a documented bounded
+      driver pull, independent of corpus size. The same pass counts rows.
     - Pass 2 (exact verify): candidates broadcast once via ray.put; each
       batch counts ONLY candidate occurrences (vectorized pc.is_in +
       value_counts); one additive groupby(col).Sum; keep
@@ -574,28 +608,12 @@ def heavy_hitters_exact(ds, col: str, threshold_permille: int = 8):
     from ray.data.aggregate import Sum
 
     thr = int(threshold_permille)
-    n_total = ds.count()
-    support = (n_total * thr + 999) // 1000
-
-    def local_candidates(t: pa.Table) -> pa.Table:
-        vals = t[col]
-        nb = len(t)
-        out_type = t.schema.field(col).type
-        if nb == 0:
-            return pa.table({col: pa.array([], type=out_type)})
-        counts = pd.Series(vals.to_numpy(zero_copy_only=False)).value_counts()
-        # ceil(nb * thr / 1000) occurrences = local frequency >= threshold
-        need = (nb * thr + 999) // 1000
-        cand = counts.index[counts.to_numpy() >= max(need, 1)]
-        return pa.table({col: pa.array(cand, type=out_type)})
-
-    local_candidates.__name__ = "local_frequency_candidates"
-    cand_rows = (
-        ds.select_columns([col])
-        .map_batches(local_candidates, batch_format="pyarrow")
-        .take_all()
+    # ceil(nb * thr / 1000) occurrences = local frequency >= threshold
+    n_total, pulled = local_frequency_candidates(
+        ds, col, lambda nb: (nb * thr + 999) // 1000
     )
-    cand = sorted({r[col] for r in cand_rows})
+    support = (n_total * thr + 999) // 1000
+    cand = sorted(set(pulled))
     if not cand:
         # pa.Table, not from_arrow: see the return-type note at the finish
         sch = ds.schema()

@@ -51,67 +51,49 @@ def test_conversation_invariant_under_repartition_and_buckets(ray_session):
 
 
 def test_skew_detection_and_auto(ray_session):
+    """The hot set holds the planted heavy conversation (120 of ~6k turns)
+    once `chunk` drops below its size in one block, and salting it leaves
+    the output unchanged."""
     import ray.data as rd
 
-    from events_validator_ray.stages.conversation import (
-        conversation_violations,
-        conversation_violations_auto,
-        detect_skew,
-    )
+    from events_validator_ray.stages.conversation import detect_skew
 
     tdir = ensure_transcripts(0.001)
-    ds = rd.read_parquet(tdir)
-    probe = detect_skew(ds, sample_frac=0.5)
-    # the generator plants one heavy conversation holding ~2% of all turns
-    assert probe["max_share"] > 0.01
-    assert probe["top"][0][0].startswith("conv_")
+    # one block: the corpus is row-shuffled on disk, so the heavy
+    # conversation's rows only share a block when the block is the corpus;
+    # every other conversation has at most 21 turns plus a few duplicates
+    ds = rd.read_parquet(tdir).repartition(1).materialize()
+    n = ds.count()
+    assert detect_skew(ds, chunk=60) == (n, ["conv_00000000"])
+    assert detect_skew(ds) == (n, [])
     spec = transcript_spec()
-    auto = _multiset(conversation_violations_auto(ds, spec, skew_share_threshold=0.01))
-    plain = _multiset(conversation_violations(rd.read_parquet(tdir), spec))
-    assert auto == plain  # salted path chosen, identical rows
+    salted = _multiset(conversation_violations(ds, spec, chunk=60))
+    whole = _multiset(conversation_violations(ds, spec))
+    assert salted == whole
 
 
 def test_salted_bounds_group_size(ray_session):
-    """Structural skew guarantee: with salt chunk K, no phase-1 group spans
-    more than K distinct turn values (verified from the summary rows)."""
+    """Structural skew guarantee: with salt chunk K, no phase-1 group of a
+    hot conversation spans more than K distinct turn values (verified from
+    the one path's summary rows)."""
     import ray.data as rd
 
     from events_validator_ray.spec import transcript_spec
     from events_validator_ray.stages.conversation import (
-        BucketChecker,
-        _project,
-        _with_bucket,
+        _phase1,
+        detect_skew,
         parse_summary_payload,
     )
-    import pyarrow as pa
-    import pyarrow.compute as pc
+    from events_validator_ray.stages.validate import DEFAULT_RUN_TS
 
     K = 5
-    tdir = ensure_transcripts(0.001)
-    projected = _project(rd.read_parquet(tdir), transcript_spec())
-
-    def add_salt(t: pa.Table) -> pa.Table:
-        salt = pc.cast(
-            pc.floor(pc.divide(pc.cast(t["turn_idx"], pa.float64()), K)), pa.int64()
-        )
-        return t.append_column("chunk", salt)
-
-    phase1 = (
-        _with_bucket(projected.map_batches(add_salt, batch_format="pyarrow"), 8, cols=("conv_id", "chunk"))
-        .groupby("bucket")
-        .map_groups(
-            BucketChecker(
-                transcript_spec(),
-                check_min_zero=False,
-                emit_summaries=True,
-                group_cols=("conv_id", "chunk"),
-            ),
-            batch_format="pandas",
-        )
-    )
+    ds = rd.read_parquet(ensure_transcripts(0.001))
+    _, hot = detect_skew(ds, K)
+    assert hot
+    phase1 = _phase1(ds, transcript_spec(), DEFAULT_RUN_TS, hot, K, 8)
     sums = [
         parse_summary_payload(r["event_data"])
-        for r in phase1.filter(expr="status != 'error'").take_all()
+        for r in phase1.filter(expr="status == 'summary'").take_all()
     ]
     assert sums
     assert all(s["max_turn"] - s["min_turn"] < K for s in sums)

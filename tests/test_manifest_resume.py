@@ -109,7 +109,7 @@ def test_kill_and_resume_mid_run(tmp_path):
     cmd = [
         sys.executable, "-m", "events_validator_ray.runner",
         "--input", tdir, "--out", out,
-        "--files-per-partition", "1", "--num-cpus", "4", "--salt-mode", "off",
+        "--files-per-partition", "1", "--num-cpus", "4",
     ]
     proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     manifest = os.path.join(out, "manifest.jsonl")
@@ -146,7 +146,7 @@ def test_kill_and_resume_mid_run(tmp_path):
         [
             sys.executable, "-m", "events_validator_ray.runner",
             "--input", tdir, "--out", clean,
-            "--files-per-partition", "1", "--num-cpus", "4", "--salt-mode", "off",
+            "--files-per-partition", "1", "--num-cpus", "4",
         ],
         capture_output=True, text=True, timeout=600,
     )
@@ -185,7 +185,7 @@ def test_single_read_per_partition(ray_session, tmp_path, monkeypatch):
 
     monkeypatch.setattr(rd, "read_parquet", counting)
     summary = run_validation(
-        tdir, str(tmp_path / "out"), transcript_spec(), files_per_partition=2, salted=False
+        tdir, str(tmp_path / "out"), transcript_spec(), files_per_partition=2
     )
     n_parts = len(summary["partitions"])
     assert n_parts >= 2

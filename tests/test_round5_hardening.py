@@ -1,5 +1,5 @@
 """Round-5 hardening regressions (self-review findings): the salted
-conversation path's distributed branch and edge cases (corrected-row drop
+conversation path's phase-2 merge and edge cases (corrected-row drop
 ordering, all-null-ts chunk prefix carry, negative turn_idx, empty input),
 distributed_components convergence on chain components, and typed
 empty-batch emission in the LSH signature stages."""
@@ -28,6 +28,30 @@ def norm(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def _assert_matches_references(tbl: pa.Table, spec, got: pd.DataFrame) -> None:
+    """`got` (normed) equals the per-conversation ConversationChecker
+    reference and the DuckDB twin on the fixture table."""
+    import duckdb
+    import pyarrow.compute as pc
+
+    from events_validator_ray.pipelines.sqlgen import conversation_violations_sql
+    from events_validator_ray.stages.conversation import ConversationChecker
+
+    cc = ConversationChecker(spec)
+    ref = [
+        cc(tbl.filter(pc.equal(tbl["conv_id"], c)))
+        for c in tbl["conv_id"].unique().to_pylist()
+    ]
+    want = pd.DataFrame({c: [] for c in VCOLS})
+    if ref:
+        want = pa.concat_tables(ref).select(VCOLS).to_pandas()
+    pd.testing.assert_frame_equal(got, norm(want))
+    con = duckdb.connect()
+    con.register("fixture", tbl)
+    twin = con.sql(conversation_violations_sql(spec, "fixture")).df()
+    pd.testing.assert_frame_equal(got, norm(twin))
+
+
 def _conv_with_forward_outlier() -> pa.Table:
     """One conversation where an EARLY chunk holds the running ts max and a
     LATER chunk has within-chunk disorder — the suspect-chunk scenario whose
@@ -51,14 +75,10 @@ def _conv_with_forward_outlier() -> pa.Table:
     )
 
 
-@pytest.mark.parametrize("take_all_max_rows", [2_000_000, 0])
-def test_salted_distributed_branch_equals_unsalted(
-    ray_session, take_all_max_rows
-):
-    """Force the distributed branch (driver_max_rows=0) on the suspect-chunk
-    fixture: phase 2's corrected ts rows must survive the suspect-row drop
-    (the drop runs on phase 1's rows BEFORE the union). Parametrized over
-    the take_all and bucketed phase-2 merge sub-branches."""
+def test_salted_distributed_branch_equals_unsalted(ray_session):
+    """The suspect-chunk fixture at chunk=10 (its 14 rows make it hot):
+    phase 2's corrected ts rows must survive the suspect-row drop (the drop
+    runs on phase 1's rows BEFORE the union)."""
     import ray.data as rd
 
     tbl = _conv_with_forward_outlier()
@@ -70,17 +90,12 @@ def test_salted_distributed_branch_equals_unsalted(
     )
     assert (plain["error_type"] == "order").any()  # fixture actually fires
     salted = norm(
-        conversation_violations_salted(
-            rd.from_arrow(tbl),
-            spec,
-            chunk=10,
-            driver_max_rows=0,
-            take_all_max_rows=take_all_max_rows,
-        )
+        conversation_violations_salted(rd.from_arrow(tbl), spec, chunk=10)
         .select_columns(VCOLS)
         .to_pandas()
     )
     pd.testing.assert_frame_equal(plain, salted)
+    _assert_matches_references(tbl, spec, salted)
 
 
 def test_salted_allnull_ts_chunk_carries_prefix(ray_session):
@@ -115,15 +130,13 @@ def test_salted_allnull_ts_chunk_carries_prefix(ray_session):
         .to_pandas()
     )
     assert (plain["error_type"] == "order").any()
-    for forced in ({}, {"driver_max_rows": 0}):
-        salted = norm(
-            conversation_violations_salted(
-                rd.from_arrow(tbl), spec, chunk=4, **forced
-            )
-            .select_columns(VCOLS)
-            .to_pandas()
-        )
-        pd.testing.assert_frame_equal(plain, salted)
+    salted = norm(
+        conversation_violations_salted(rd.from_arrow(tbl), spec, chunk=4)
+        .select_columns(VCOLS)
+        .to_pandas()
+    )
+    pd.testing.assert_frame_equal(plain, salted)
+    _assert_matches_references(tbl, spec, salted)
 
 
 def test_salted_negative_turn_idx_equals_unsalted(ray_session):
@@ -164,11 +177,12 @@ def test_salted_negative_turn_idx_equals_unsalted(ray_session):
         .to_pandas()
     )
     pd.testing.assert_frame_equal(plain, salted)
+    _assert_matches_references(tbl, spec, salted)
 
 
 def test_salted_empty_input_returns_empty(ray_session):
-    """Empty/fully-clean shard: the driver branch must return the typed
-    empty violation table, not KeyError on a column-less to_pandas frame."""
+    """Empty/fully-clean shard: the path must return an empty dataset that
+    still carries the violation schema."""
     import ray.data as rd
 
     tbl = pa.table(
@@ -186,6 +200,7 @@ def test_salted_empty_input_returns_empty(ray_session):
     )
     assert out.count() == 0
     assert "event_id" in out.schema().names
+    _assert_matches_references(tbl, transcript_spec(), norm(pd.DataFrame({c: [] for c in VCOLS})))
 
 
 def _chain_pairs(n: int):

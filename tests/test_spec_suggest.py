@@ -125,3 +125,27 @@ def test_infer_spec_builds_usable_rules(ray_session):
     assert validate_event(rules, {"kind": "click", "tool": None, "n": 7}) == []
     bad = validate_event(rules, {"kind": "tap", "tool": "hammer", "n": 7})
     assert any(v[1] == "value" for v in bad)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        ["c" * (ENUM_VALUE_MAX_LEN + 7)] * 40,  # one constant past the cap
+        # two values sharing the profile's ENUM_VALUE_MAX_LEN+1-char prefix
+        ["p" * (ENUM_VALUE_MAX_LEN + 1) + "a", "p" * (ENUM_VALUE_MAX_LEN + 1) + "b"] * 20,
+    ],
+    ids=["long_constant", "shared_prefix"],
+)
+def test_infer_spec_long_values_accept_own_data(ray_session, values):
+    """The profile keeps only a prefix of long values, so neither case may
+    become a `value` rule: the inferred spec must accept its own data."""
+    from events_validator_ray.oracle import validate_event
+    from events_validator_ray.sources.specs import infer_spec
+
+    df = pd.DataFrame({"kind": values})
+    prof = _profile(df, ["kind"], {"kind": "str"})
+    assert len(prof["kind"]["values"]) <= 1  # the truncation that used to leak
+    spec = infer_spec(prof, {"kind": "string"})
+    assert not spec.fields["kind"].has_value
+    for v in set(values):
+        assert validate_event(spec.fields, {"kind": v}) == []
