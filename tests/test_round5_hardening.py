@@ -52,11 +52,12 @@ def _assert_matches_references(tbl: pa.Table, spec, got: pd.DataFrame) -> None:
     pd.testing.assert_frame_equal(got, norm(twin))
 
 
-def _conv_with_forward_outlier() -> pa.Table:
+def _conv_with_forward_outlier(shift_us: int = 0) -> pa.Table:
     """One conversation where an EARLY chunk holds the running ts max and a
     LATER chunk has within-chunk disorder — the suspect-chunk scenario whose
-    corrected rows the distributed branch used to drop."""
-    base = 1_704_067_200_000_000
+    corrected rows the distributed branch used to drop. `shift_us` moves every
+    timestamp by the same amount."""
+    base = 1_704_067_200_000_000 + shift_us
     n = 14
     ts = base + np.arange(n, dtype=np.int64) * 100_000_000
     ts[5] = base + 1_000_000_000_000  # forward outlier (chunk 0 at chunk=10)
@@ -75,13 +76,15 @@ def _conv_with_forward_outlier() -> pa.Table:
     )
 
 
-def test_salted_distributed_branch_equals_unsalted(ray_session):
+@pytest.mark.parametrize("shift_us", [0, 2_000_000])
+def test_salted_distributed_branch_equals_unsalted(ray_session, shift_us):
     """The suspect-chunk fixture at chunk=10 (its 14 rows make it hot):
     phase 2's corrected ts rows must survive the suspect-row drop (the drop
-    runs on phase 1's rows BEFORE the union)."""
+    runs on phase 1's rows BEFORE the union). Parametrized over a uniform
+    timestamp shift, which must not change which rows are flagged."""
     import ray.data as rd
 
-    tbl = _conv_with_forward_outlier()
+    tbl = _conv_with_forward_outlier(shift_us)
     spec = transcript_spec()
     plain = norm(
         conversation_violations(rd.from_arrow(tbl), spec)
