@@ -7,9 +7,9 @@ Stage shapes (all Ray-Data-native, documented partitioning assumptions):
 1. quality  — INLINE `map_batches` filter (QualityScore keep-flag computed
               per batch on the full rows — no id set, no join, nothing on
               the driver).
-2. exact    — ONE coarse-bucketed content-hash shuffle
-              (`hash % num_buckets` groups, vectorized first-per-hash inside
-              each task — never one group per distinct text); the deduped
+2. exact    — ONE exchange keyed by content hash (`stages/exchange.py`,
+              vectorized first-per-hash inside each bucket task — never
+              one group per distinct text); the deduped
               stream is materialized in the OBJECT STORE (distributed,
               spillable) because three consumers follow (count, minhash,
               sink) and re-executing the shuffle per consumer would triple
@@ -105,34 +105,20 @@ def curate_documents(
     survivors = ds.map_batches(quality_filter, batch_format="pyarrow").materialize()
     n_quality = survivors.count()
 
-    # ---- stage 2: exact dedup — one coarse-bucketed content-hash shuffle
+    # ---- stage 2: exact dedup — one exchange keyed by content hash
     from ..stages.dedup import add_content_hash
-
-    num_buckets = 64
-
-    def with_bucket(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        t = add_content_hash(batch, col)
-        h = t["content_hash"].to_numpy(zero_copy_only=False).astype("uint64")
-        return t.append_column(
-            "pbucket", pa.array((h % np.uint64(num_buckets)).astype("int32"))
-        )
+    from ..stages.exchange import exchange
 
     def first_per_hash(g):
         # group on (hash, text), not the hash alone: identical texts share a
         # bucket by construction, and a 64-bit collision between two DISTINCT
         # texts (expected at 10^10+ docs) must keep both
         g = g.sort_values(["content_hash", col, id_col], kind="stable")
-        return g[~g.duplicated(["content_hash", col])].drop(columns=["content_hash", "pbucket"])
+        return g[~g.duplicated(["content_hash", col])].drop(columns=["content_hash"])
 
-    first_per_hash.__name__ = "first_per_hash"
-    deduped = (
-        survivors.map_batches(with_bucket, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(first_per_hash, batch_format="pandas")
-        .materialize()  # three consumers follow; object-store, spillable
-    )
+    hashed = survivors.map_batches(add_content_hash, fn_args=(col,), batch_format="pyarrow")
+    # three consumers follow; object-store, spillable
+    deduped = exchange(hashed, "content_hash", first_per_hash).materialize()
     n_exact = deduped.count()
     survivors = deduped
 

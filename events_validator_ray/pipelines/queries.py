@@ -1926,7 +1926,7 @@ def q_left_join_enrich(sf_dir: str):
     dim = bucketed_distinct_values(
         ev.map_batches(mark, batch_format="pyarrow"), "user_id"
     ).map_batches(add_flag, batch_format="pandas")
-    joined = bucketed_hash_join(ev, dim, on="user_id", num_buckets=16, how="left")
+    joined = bucketed_hash_join(ev, dim, on="user_id", how="left")
 
     def flag(df):
         import pandas as pd
@@ -1964,7 +1964,7 @@ def q_bucketed_join(sf_dir: str):
     cust = cust.map_batches(
         lambda t: t.rename_columns(["custkey", "c_mktsegment"]), batch_format="pyarrow"
     )
-    joined = bucketed_hash_join(orders, cust, on="custkey", num_buckets=16)
+    joined = bucketed_hash_join(orders, cust, on="custkey")
     # 5-segment rollup over the 150k-row join output: blockwise partials +
     # bounded driver sum (see small_group_rollup)
     from ..stages.assembly import small_group_rollup
@@ -3214,7 +3214,6 @@ def _day_type_cells(sf_dir: str):
         ev.map_batches(day_type_key, batch_format="pyarrow"),
         "_dt",
         "n_obs",
-        num_buckets=8,
     )
     df = counts.to_pandas()  # bounded: days × types cells
     parts = df["_dt"].str.split("|", n=1, expand=True)
@@ -3389,8 +3388,7 @@ def q_benford_value(sf_dir: str):
 
     digit_key.__name__ = "benford_digit_key"
     counts = bucketed_count_per_key(
-        ev.map_batches(digit_key, batch_format="pyarrow"), "_d", "n_obs",
-        num_buckets=4,
+        ev.map_batches(digit_key, batch_format="pyarrow"), "_d", "n_obs"
     )
     df = counts.to_pandas()  # ≤ 10 rows at any sf
     df = pd.DataFrame(
@@ -3452,7 +3450,7 @@ def q_full_join_recon(sf_dir: str):
     purchases = bucketed_count_per_key(
         ev.filter(expr="event_type == 'purchase'"), "user_id", "n_purchases"
     )
-    joined = full_outer_join(clicks, purchases, on="user_id", num_buckets=16)
+    joined = full_outer_join(clicks, purchases, on="user_id")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         # full_outer_join passes null keys through; the count stage drops
@@ -3531,7 +3529,6 @@ def q_attribution_join(sf_dir: str):
         point="ts_us",
         lo="lo_us",
         hi="hi_us",
-        num_buckets=16,
     )
     return joined.select_columns(["click_event_id", "purchase_event_id"])
 

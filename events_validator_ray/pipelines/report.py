@@ -61,18 +61,16 @@ def daily_error_rate(ds, approx: bool = False, hll_p: int = 14):
     against the exact mode in tests/test_sketches.py)."""
     if approx:
         return _daily_error_rate_hll(ds, hll_p)
-    import numpy as np
-
-    from ..stages.sketches import hash64
+    from ..stages.exchange import exchange
 
     with_date = _with_date(ds).select_columns(["date_utc", "event_id", "status"])
 
     def batch_dedup(t: pa.Table) -> pa.Table:
-        # pre-aggregate within the batch before the shuffle: one row per
+        # pre-aggregate within the block before the shuffle: one row per
         # (date, event_id) with its max is_error flag cuts the shuffle input
-        # by ~the batch's duplication factor; the pair rides a single int64
-        # hash bucket — groupby([date, event]) at distinct-event cardinality
-        # is the documented sort-aggregate hazard (BASELINE.md)
+        # by ~the block's duplication factor — groupby([date, event]) at
+        # distinct-event cardinality is the documented sort-aggregate hazard
+        # (BASELINE.md)
         flags = pc.cast(pc.equal(t["status"], "error"), pa.int64())
         t2 = pa.table(
             {
@@ -81,16 +79,9 @@ def daily_error_rate(ds, approx: bool = False, hll_p: int = 14):
                 "is_error": flags,
             }
         )
-        d = t2.group_by(["date_utc", "event_id"]).aggregate([("is_error", "max")])
-        # bucket by event_id alone: every copy of a (date, event) pair shares
-        # the bucket (sufficient for exact dedup), and the hash stays a cheap
-        # vectorized pass over the id column — no per-row string building
-        h = hash64(d["event_id"].to_numpy(zero_copy_only=False))
-        return d.append_column(
-            "_kb", pa.array((h % np.uint64(256)).astype(np.int64))
-        )
+        return t2.group_by(["date_utc", "event_id"]).aggregate([("is_error", "max")])
 
-    def pair_merge(g):
+    def pair_dedup_day_partials(g):
         import pandas as pd
 
         # exact global dedup (all copies of a pair share the bucket), then
@@ -110,16 +101,14 @@ def daily_error_rate(ds, approx: bool = False, hll_p: int = 14):
         out["_e"] = out["_e"].astype("int64")
         return out
 
-    pair_merge.__name__ = "pair_dedup_day_partials"
-    partials = (
-        with_date.map_batches(batch_dedup, batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(pair_merge, batch_format="pandas")
-    )
+    # keyed by event_id alone: every copy of a (date, event) pair shares the
+    # bucket (sufficient for exact dedup)
+    deduped = with_date.map_batches(batch_dedup, batch_format="pyarrow")
+    partials = exchange(deduped, "event_id", pair_dedup_day_partials)
 
     import pandas as pd
 
-    # final day sum on the driver: the pull is ≤ buckets × days tiny rows
+    # final day sum on the driver: the pull is ≤ bucket_count() × days tiny rows
     # (the HLL path's bound class). A Ray groupby(date).aggregate here
     # measured 28.4s over 359k partial rows / 2136 day groups vs 0.25s for
     # this pull — the sort-aggregate cost, not data volume.

@@ -2,7 +2,7 @@
 adjacent-turn SFT pair mining.
 
 Both are per-conversation ordered computations expressed with the repo's
-hash-bucket co-location pattern (`conversation._with_bucket`): ONE shuffle
+keyed exchange (`stages/exchange.py`, keyed by conv_id): ONE shuffle
 moves each conversation to a single task, and a vectorized pandas kernel then
 processes thousands of conversations per call. The within-conversation order
 is the stable total order (turn_idx, coalesce(text,''), coalesce(role,'')) —
@@ -14,7 +14,7 @@ the order of ties cannot change the result. This mirrors the reference's
 `turn_text_digest` evidences it row-wise.
 
 Scale shape: projection first (conv_id, turn_idx, role, text only — never the
-whole row), one bucketed exchange, then map_groups over buckets; output is one
+whole row), one keyed exchange, then one kernel call per bucket; output is one
 row per conversation (conversation_doc) / one row per adjacent pair
 (turn_pairs), both ≤ input size. No driver materialization anywhere.
 
@@ -32,6 +32,7 @@ import hashlib
 
 import pandas as pd
 
+from .exchange import exchange
 
 _ORDER_COLS = ["conv_id", "turn_idx", "_text_f", "_role_f"]
 
@@ -50,9 +51,6 @@ class _AssembleDocsBucket:
     """One call = one hash bucket of conversations: order, render one
     'role|text' line per turn, concat per conversation, md5 the document."""
 
-    def __init__(self):
-        self.__name__ = type(self).__name__
-
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         df = _ordered(df)
         line = df["_role_f"] + "|" + df["_text_f"]
@@ -66,7 +64,7 @@ class _AssembleDocsBucket:
         return docs[["conv_id", "n_turns", "doc_md5"]]
 
 
-def conversation_docs(ds, num_buckets: int = 64):
+def conversation_docs(ds):
     """Assemble each conversation into one training document (ordered
     'role|text' lines joined by newline; NULLs render as '') and emit
     (conv_id, n_turns, doc_md5). The md5 keeps the compared column a string
@@ -75,46 +73,15 @@ def conversation_docs(ds, num_buckets: int = 64):
     SQL twin: string_agg(... ORDER BY turn_idx, coalesce(text,''),
     coalesce(role,'')) GROUP BY conv_id.
     """
-    from .conversation import _with_bucket
-
     projected = ds.select_columns(["conv_id", "turn_idx", "role", "text"])
-    return (
-        _with_bucket(projected, num_buckets)
-        .groupby("bucket")
-        .map_groups(_AssembleDocsBucket(), batch_format="pandas")
-    )
+    return exchange(projected, "conv_id", _AssembleDocsBucket())
 
 
-def bucketed_count_per_key(
-    ds, key_col: str, out_col: str, num_buckets: int = 64, min_count: int = 1
-):
-    """Additive COUNT(*) GROUP BY key when distinct keys scale with the
-    corpus: per-batch pandas counts (one partial row per (block, key)) →
-    int64 key-hash bucket → per-bucket pandas sum. Ray's sort-based
-    `groupby(key).aggregate()` degrades with GROUP cardinality (BASELINE.md
-    addendum: ~1070s remote wall over 592k groups); this shape is the
-    measured cure. A hot key contributes ≤ blocks partial rows, all landing
-    in one bucket group — skew-safe, exact."""
-    import numpy as np
+def _count_sum(key_col: str, out_col: str, min_count: int):
+    """Per-bucket reduce: sum the partial `_n` counts per key into
+    `out_col`, keeping keys with at least `min_count`."""
 
-    from .sketches import hash64
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        from .joins import _canon_key_str
-
-        out = df.groupby(key_col, sort=False).size().rename("_n").reset_index()
-        out["_n"] = out["_n"].astype("int64")
-        # canonical key form for the bucket hash: a key arriving int64 in
-        # one block and float64 in another (int64-with-nulls Arrow->pandas)
-        # must land in the SAME bucket or its partials never re-merge
-        out["_kb"] = (
-            hash64(_canon_key_str(out[key_col])) % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return out
-
-    partial.__name__ = "count_partials"
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
+    def bucketed_count_sum(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
             return pd.DataFrame(
                 {key_col: pd.Series(dtype=object), out_col: pd.Series(dtype="int64")}
@@ -125,122 +92,68 @@ def bucketed_count_per_key(
             out = out[out[out_col] >= min_count]
         return out
 
-    final.__name__ = "bucketed_count_sum"
-    return (
-        ds.select_columns([key_col])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("_kb")
-        .map_groups(final, batch_format="pandas")
+    return bucketed_count_sum
+
+
+def bucketed_count_per_key(ds, key_col: str, out_col: str, min_count: int = 1):
+    """Additive COUNT(*) GROUP BY key when distinct keys scale with the
+    corpus: per-block pandas counts (one partial row per (block, key)) →
+    keyed exchange → per-bucket pandas sum. Ray's sort-based
+    `groupby(key).aggregate()` degrades with GROUP cardinality (BASELINE.md
+    addendum: ~1070s remote wall over 592k groups); this shape is the
+    measured cure. A hot key contributes ≤ blocks partial rows, all landing
+    in one bucket — skew-safe, exact."""
+
+    def count_partials(df: pd.DataFrame) -> pd.DataFrame:
+        out = df.groupby(key_col, sort=False).size().rename("_n").reset_index()
+        out["_n"] = out["_n"].astype("int64")
+        return out
+
+    return exchange(
+        ds.select_columns([key_col]), key_col, _count_sum(key_col, out_col, min_count), count_partials
     )
 
 
-def bucketed_distinct_values(ds, col: str, num_buckets: int = 64):
+def bucketed_distinct_values(ds, col: str):
     """DISTINCT values of one column when the distinct count scales with the
-    corpus — per-batch drop_duplicates combiner, value-hash bucket, per-bucket
+    corpus — per-block drop_duplicates combiner, keyed exchange, per-bucket
     drop_duplicates. Same rationale as `bucketed_count_per_key` (a
     `groupby(col).aggregate(Count)` dedup pays the sort-aggregate's
     per-group cost); shuffle volume = per-block distinct values once."""
-    import numpy as np
 
-    from .sketches import hash64
+    def distinct_combiner(df: pd.DataFrame) -> pd.DataFrame:
+        return df[[col]].drop_duplicates()
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        from .joins import _canon_key_str
-
-        d = df[[col]].drop_duplicates()
-        # canonical value form for the bucket hash (int64-with-nulls blocks
-        # render 5 as '5.0' — see bucketed_count_per_key)
-        d = d.assign(
-            _kb=(hash64(_canon_key_str(d[col])) % np.uint64(num_buckets)).astype(
-                np.int64
-            )
-        )
-        return d
-
-    combine.__name__ = "distinct_combiner"
-
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g[[col]].drop_duplicates()
-
-    dedup.__name__ = "bucket_distinct"
-    return (
-        ds.select_columns([col])
-        .map_batches(combine, batch_format="pandas")
-        .groupby("_kb")
-        .map_groups(dedup, batch_format="pandas")
-    )
+    return exchange(ds.select_columns([col]), col, distinct_combiner, distinct_combiner)
 
 
-def distinct_count_per_key(pairs_ds, key_col: str, val_col: str, out_col: str, min_count: int = 1, num_buckets: int = 256):
+def distinct_count_per_key(pairs_ds, key_col: str, val_col: str, out_col: str, min_count: int = 1):
     """EXACT COUNT(DISTINCT val) GROUP BY key over a (key, val) pair Dataset
     that may contain duplicates — skew-safe: a hot key (one value shared by
     most of the corpus) never lands in a single task.
 
-    Shape: bucket by hash(key:val) so duplicate pairs co-locate (dedup inside
-    a bucket is globally exact) while a hot KEY's values spread across many
-    buckets; per-bucket drop_duplicates + partial per-key counts; then a
-    KEY-HASH-bucketed pandas Sum. The final reduce deliberately does NOT use
-    `groupby(key).aggregate(Sum)`: Ray's sort-based aggregate is pathological
-    at high GROUP cardinality, not just with multi-column keys — measured
-    ~1070s of remote wall over 592k distinct md5-string groups at sf0.1
-    (85s wall-clock) vs ~2s for the int64-bucket + per-bucket pandas-sum
-    shape used here (the same cure BASELINE.md records for pair keys). A hot
-    key contributes ≤ num_buckets partial rows, all landing in one _kb group,
-    so the reduce stays skew-safe. Shuffle = distinct pairs once + partial
-    rows once."""
-    import numpy as np
+    Shape: two keyed exchanges. The first is keyed by the (key, val) pair, so
+    duplicate pairs co-locate (dedup inside a bucket is globally exact) while
+    a hot KEY's values spread across every bucket; it emits per-bucket
+    partial per-key counts. The second is keyed by key and sums them. The
+    final reduce deliberately does NOT use `groupby(key).aggregate(Sum)`:
+    Ray's sort-based aggregate is pathological at high GROUP cardinality —
+    measured ~1070s of remote wall over 592k distinct md5-string groups at
+    sf0.1 (85s wall-clock) vs ~2s for the bucketed pandas sum. A hot key
+    contributes ≤ one partial row per bucket, so the reduce stays skew-safe.
+    Shuffle = distinct pairs once + partial rows once."""
 
-    from .sketches import hash64
+    def pair_dedup(df: pd.DataFrame) -> pd.DataFrame:
+        return df[[key_col, val_col]].drop_duplicates()
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        from .joins import _canon_key_str
-
-        # canonical forms for BOTH pair components: a (key, val) pair must
-        # hash to one bucket regardless of per-block int64/float64 dtype
-        # (int64-with-nulls Arrow->pandas), or the cross-bucket dedup
-        # double-counts it
-        pair = pd.Series(_canon_key_str(df[key_col])).str.cat(
-            pd.Series(_canon_key_str(df[val_col])), sep=":"
-        )
-        b = (hash64(pair.to_numpy(dtype=object)) % np.uint64(num_buckets)).astype(
-            np.int64
-        )
-        return df.assign(_b=b).drop_duplicates([key_col, val_col])
-
-    bucketize.__name__ = "pair_bucket_combiner"
-
-    def partial_counts(g: pd.DataFrame) -> pd.DataFrame:
-        from .joins import _canon_key_str
-
+    def partial_distinct_counts(g: pd.DataFrame) -> pd.DataFrame:
         d = g.drop_duplicates([key_col, val_col])
         out = d.groupby(key_col, sort=False).size().rename("_n").reset_index()
         out["_n"] = out["_n"].astype("int64")
-        out["_kb"] = (
-            hash64(_canon_key_str(out[key_col])) % np.uint64(num_buckets)
-        ).astype(np.int64)
         return out
 
-    partial_counts.__name__ = "partial_distinct_counts"
-
-    def sum_per_key(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {key_col: pd.Series(dtype=object), out_col: pd.Series(dtype="int64")}
-            )
-        out = g.groupby(key_col, sort=False)["_n"].sum().rename(out_col).reset_index()
-        out[out_col] = out[out_col].astype("int64")
-        if min_count > 1:
-            out = out[out[out_col] >= min_count]
-        return out
-
-    sum_per_key.__name__ = "bucketed_key_sum"
-    return (
-        pairs_ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(partial_counts, batch_format="pandas")
-        .groupby("_kb")
-        .map_groups(sum_per_key, batch_format="pandas")
-    )
+    partials = exchange(pairs_ds, [key_col, val_col], partial_distinct_counts, pair_dedup)
+    return exchange(partials, key_col, _count_sum(key_col, out_col, min_count))
 
 
 def cross_conv_duplicate_texts(ds, min_convs: int = 2):
@@ -271,7 +184,7 @@ def cross_conv_duplicate_texts(ds, min_convs: int = 2):
     )
 
 
-def conversation_stats(ds, num_buckets: int = 64):
+def conversation_stats(ds):
     """Per-conversation feature rollup for curation filters: turn counts by
     role, tool-call count, and wall-clock duration (max ts − min ts, µs;
     NULL when the conversation has no timestamps).
@@ -279,15 +192,12 @@ def conversation_stats(ds, num_buckets: int = 64):
     Conversations scale with the corpus, so the reduce is the bucketed
     pandas shape, not `groupby(conv_id).aggregate(...)` (BASELINE.md
     group-cardinality addendum — the 6-aggregate sort path measured 16.7s
-    at sf0.1 vs ~4s bucketed): per-batch pandas partials (one row per
-    (block, conv)) → conv-hash bucket → per-bucket merge (sum the counts,
+    at sf0.1 vs ~4s bucketed): per-block pandas partials (one row per
+    (block, conv)) → keyed exchange → per-bucket merge (sum the counts,
     min/max the timestamps). µs epochs (~1.7e15) stay exact through the
     float64 NaN-carrying min/max: they are < 2^53."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-
-    from .sketches import hash64
 
     def derive(t: pa.Table) -> pa.Table:
         role = t["role"]
@@ -305,8 +215,8 @@ def conversation_stats(ds, num_buckets: int = 64):
             }
         )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = (
+    def conv_stats_partials(df: pd.DataFrame) -> pd.DataFrame:
+        return (
             df.groupby("conv_id", sort=False)
             .agg(
                 n_turns=("is_user", "size"),
@@ -318,15 +228,8 @@ def conversation_stats(ds, num_buckets: int = 64):
             )
             .reset_index()
         )
-        g["_kb"] = (
-            hash64(g["conv_id"].astype(str).to_numpy(dtype=object))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return g
 
-    partial.__name__ = "conv_stats_partials"
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
+    def conv_stats_merge(g: pd.DataFrame) -> pd.DataFrame:
         out = (
             g.groupby("conv_id", sort=False)
             .agg(
@@ -357,22 +260,15 @@ def conversation_stats(ds, num_buckets: int = 64):
             }
         )
 
-    merge.__name__ = "conv_stats_merge"
-    return (
-        ds.select_columns(["conv_id", "role", "tool", "ts"])
-        .map_batches(derive, batch_format="pyarrow")
-        .map_batches(partial, batch_format="pandas")
-        .groupby("_kb")
-        .map_groups(merge, batch_format="pandas")
+    derived = ds.select_columns(["conv_id", "role", "tool", "ts"]).map_batches(
+        derive, batch_format="pyarrow"
     )
+    return exchange(derived, "conv_id", conv_stats_merge, conv_stats_partials)
 
 
 class _RoleTransitionsBucket:
     """One call = one bucket of conversations: count (role → next-role)
     adjacencies under the stable order; partial counts per bucket."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         df = _ordered(df)
@@ -391,26 +287,21 @@ class _RoleTransitionsBucket:
         return out
 
 
-def role_transitions(ds, num_buckets: int = 64):
+def role_transitions(ds):
     """Role-transition profile: corpus-wide counts of (from_role → to_role)
     over consecutive turns within each conversation (stable order; NULL roles
     skipped) — the protocol-drift signal for agent transcripts (a spike in
     assistant→assistant adjacency means broken alternation upstream).
 
-    Scale shape: one bucketed conversation shuffle produces per-bucket
+    Scale shape: one conversation-keyed exchange produces per-bucket
     PARTIAL counts (≤ roles² rows per bucket); the final reduction sums a
     roles²×buckets table. The mixed (from,to) pair is combined into one
     string key for the last groupby — multi-key groupby at scale is the
     documented Ray hazard."""
-    from .conversation import _with_bucket
     from ray.data.aggregate import Sum
 
     projected = ds.select_columns(["conv_id", "turn_idx", "role", "text"])
-    partials = (
-        _with_bucket(projected, num_buckets)
-        .groupby("bucket")
-        .map_groups(_RoleTransitionsBucket(), batch_format="pandas")
-    )
+    partials = exchange(projected, "conv_id", _RoleTransitionsBucket())
 
     def mix(df: pd.DataFrame) -> pd.DataFrame:
         return df.assign(_k=df["from_role"].str.cat(df["to_role"], sep="\x1f"))
@@ -440,7 +331,6 @@ class _ConvSegmentsBucket:
 
     def __init__(self, gap_s: int):
         self.gap_s = gap_s
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         df = _ordered(df)
@@ -480,20 +370,14 @@ class _ConvSegmentsBucket:
         return out
 
 
-def conv_segments(ds, gap_s: int = 1800, num_buckets: int = 64):
+def conv_segments(ds, gap_s: int = 1800):
     """Gap-based conversation segmentation: per conversation, the number of
     ts-gap segments (> gap_s between consecutive timestamped turns under the
     stable order starts a new one) — the transcripts-axis sessionizer
     (window_session's per-key analog where the key IS the conversation).
-    One bucketed shuffle, whole conversations co-located."""
-    from .conversation import _with_bucket
-
+    One conversation-keyed exchange, whole conversations co-located."""
     projected = ds.select_columns(["conv_id", "turn_idx", "role", "text", "ts"])
-    return (
-        _with_bucket(projected, num_buckets)
-        .groupby("bucket")
-        .map_groups(_ConvSegmentsBucket(gap_s), batch_format="pandas")
-    )
+    return exchange(projected, "conv_id", _ConvSegmentsBucket(gap_s))
 
 
 class _TurnPairsBucket:
@@ -503,7 +387,6 @@ class _TurnPairsBucket:
     def __init__(self, prompt_role: str, response_role: str):
         self.prompt_role = prompt_role
         self.response_role = response_role
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         df = _ordered(df)
@@ -530,7 +413,7 @@ class _TurnPairsBucket:
         return out.reset_index(drop=True)
 
 
-def turn_pairs(ds, prompt_role: str = "user", response_role: str = "assistant", num_buckets: int = 64):
+def turn_pairs(ds, prompt_role: str = "user", response_role: str = "assistant"):
     """Mine adjacent (prompt_role → response_role) turn pairs per conversation
     under the stable turn ordering — the SFT-pair extraction a training-data
     pipeline runs over raw transcripts. Emits (conv_id, prompt_turn_idx,
@@ -540,17 +423,11 @@ def turn_pairs(ds, prompt_role: str = "user", response_role: str = "assistant", 
     SQL twin: lead(role/text/turn_idx) OVER (PARTITION BY conv_id ORDER BY
     turn_idx, coalesce(text,''), coalesce(role,'')).
     """
-    from .conversation import _with_bucket
-
     projected = ds.select_columns(["conv_id", "turn_idx", "role", "text"])
-    return (
-        _with_bucket(projected, num_buckets)
-        .groupby("bucket")
-        .map_groups(_TurnPairsBucket(prompt_role, response_role), batch_format="pandas")
-    )
+    return exchange(projected, "conv_id", _TurnPairsBucket(prompt_role, response_role))
 
 
-def response_variants(ds, min_variants: int = 2, num_buckets: int = 64):
+def response_variants(ds, min_variants: int = 2):
     """Preference-pair mining precursor (DPO-style): user prompts that
     received >= min_variants DISTINCT assistant responses anywhere in the
     corpus → (prompt_md5, n_variants). The turn after a verbatim-repeated
@@ -560,7 +437,7 @@ def response_variants(ds, min_variants: int = 2, num_buckets: int = 64):
     shuffle, md5s projected before anything else moves) feeding the
     skew-safe distinct_count_per_key reduction — a prompt repeated across
     most of the corpus never collapses into one task."""
-    pairs = turn_pairs(ds, num_buckets=num_buckets).select_columns(
+    pairs = turn_pairs(ds).select_columns(
         ["prompt_md5", "response_md5"]
     )
     return distinct_count_per_key(
@@ -575,9 +452,6 @@ class _ReindexBucket:
     conversation. Rows that tie on the full sort key are bit-identical in
     every output column except the new index, whose assignment among them
     is therefore set-irrelevant."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(
@@ -602,7 +476,7 @@ class _ReindexBucket:
         )
 
 
-def turn_reindex(ds, num_buckets: int = 64):
+def turn_reindex(ds):
     """Canonical turn-order REPAIR: re-sort each conversation by event time
     (ts NULLS LAST, original turn_idx / text-digest / role as deterministic
     tie-breaks) and assign a fresh contiguous 0-based turn index — the
@@ -613,14 +487,13 @@ def turn_reindex(ds, num_buckets: int = 64):
 
     Scale shape: text is digested MAP-SIDE to a 32-hex md5, so the payload
     never enters the exchange (same projection discipline as turn_pairs);
-    ONE bucketed shuffle co-locates whole conversations; map_groups then
+    ONE conversation-keyed exchange co-locates whole conversations; each bucket
     runs one vectorized sort + cumcount over thousands of conversations per
     task. Output = one row per input turn, ~60 B/row shuffled.
 
     SQL twin: ROW_NUMBER() OVER (PARTITION BY conv_id ORDER BY ts,
     turn_idx, coalesce(md5(text),''), coalesce(role,'')) - 1.
     """
-    from .conversation import _with_bucket
 
     def digest_project(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -638,20 +511,13 @@ def turn_reindex(ds, num_buckets: int = 64):
     projected = ds.select_columns(
         ["conv_id", "turn_idx", "role", "ts", "text"]
     ).map_batches(digest_project, batch_format="pandas")
-    return (
-        _with_bucket(projected, num_buckets)
-        .groupby("bucket")
-        .map_groups(_ReindexBucket(), batch_format="pandas")
-    )
+    return exchange(projected, "conv_id", _ReindexBucket())
 
 
 class _SnapshotFpBucket:
     """One call = one hash bucket of conversations: sort the pre-rendered
     turn lines (the line string is a total order over the multiset, so both
     engines agree regardless of input order), concat per conversation, md5."""
-
-    def __init__(self):
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["conv_id", "line"], kind="stable")
@@ -674,7 +540,7 @@ class _SnapshotFpBucket:
 NULL_CONV_MARKER = "null_conv"
 
 
-def snapshot_fingerprints(ds, num_buckets: int = 64):
+def snapshot_fingerprints(ds):
     """FULL-ROW per-conversation fingerprint for snapshot diffing: every
     column of the turn participates (turn_idx, role, md5(text), tool,
     epoch-us ts), so a change in ANY of them — a ts reorder, a tool rename,
@@ -695,7 +561,6 @@ def snapshot_fingerprints(ds, num_buckets: int = 64):
     coalesce(role,'') || '|' || coalesce(md5(text),'') || '|' ||
     coalesce(tool,'') || '|' || coalesce(CAST(epoch_us(ts) AS VARCHAR),'').
     """
-    from .conversation import _with_bucket
 
     def render_line(df: pd.DataFrame) -> pd.DataFrame:
         # int render must never produce '5.0': nullable Int64 → str → '<NA>'
@@ -726,14 +591,10 @@ def snapshot_fingerprints(ds, num_buckets: int = 64):
     projected = ds.select_columns(
         ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
     ).map_batches(render_line, batch_format="pandas")
-    return (
-        _with_bucket(projected, num_buckets)
-        .groupby("bucket")
-        .map_groups(_SnapshotFpBucket(), batch_format="pandas")
-    )
+    return exchange(projected, "conv_id", _SnapshotFpBucket())
 
 
-def changed_conversations(left, right, num_buckets: int = 64):
+def changed_conversations(left, right):
     """Snapshot diff for INCREMENTAL revalidation: compare two corpus
     versions at conversation granularity and emit (conv_id, status) with
     status in {added, removed, changed, same} — downstream revalidation
@@ -756,8 +617,8 @@ def changed_conversations(left, right, num_buckets: int = 64):
 
     from .joins import full_outer_join
 
-    docs_l = snapshot_fingerprints(left, num_buckets=num_buckets)
-    docs_r = snapshot_fingerprints(right, num_buckets=num_buckets)
+    docs_l = snapshot_fingerprints(left)
+    docs_r = snapshot_fingerprints(right)
 
     def rename_right(df: pd.DataFrame) -> pd.DataFrame:
         return df.rename(columns={"fp_md5": "fp_md5_r"})
@@ -768,7 +629,6 @@ def changed_conversations(left, right, num_buckets: int = 64):
         docs_l,
         docs_r.map_batches(rename_right, batch_format="pandas"),
         on="conv_id",
-        num_buckets=num_buckets,
     )
 
     def classify(df: pd.DataFrame) -> pd.DataFrame:
@@ -793,7 +653,6 @@ class _RollingCharsBucket:
 
     def __init__(self, window: int):
         self.window = window
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         df = _ordered(df)
@@ -815,7 +674,7 @@ class _RollingCharsBucket:
         )
 
 
-def rolling_turn_chars(ds, window: int = 3, num_buckets: int = 64):
+def rolling_turn_chars(ds, window: int = 3):
     """Frame-based window aggregate: per turn, the rolling sum of text length
     over the current + (window-1) PRECEDING turns of the same conversation in
     the stable turn order → (conv_id, turn_idx, n_chars, roll_chars). The SQL
@@ -828,14 +687,8 @@ def rolling_turn_chars(ds, window: int = 3, num_buckets: int = 64):
     ordering column, so tie order cannot change any rolling sum. Scale shape:
     projection → ONE bucketed conversation shuffle → vectorized grouped
     rolling; output volume = input volume, no driver materialization."""
-    from .conversation import _with_bucket
-
     projected = ds.select_columns(["conv_id", "turn_idx", "role", "text"])
-    return (
-        _with_bucket(projected, num_buckets)
-        .groupby("bucket")
-        .map_groups(_RollingCharsBucket(window), batch_format="pandas")
-    )
+    return exchange(projected, "conv_id", _RollingCharsBucket(window))
 
 
 def small_group_rollup(ds, key_col: str, aggs: list, sort: bool = True):
@@ -877,57 +730,34 @@ def small_group_rollup(ds, key_col: str, aggs: list, sort: bool = True):
     return out[cols]
 
 
-def bucketed_reduce_per_key(
-    ds, key_col, aggs: list, num_buckets: int = 64, dropna: bool = True
-):
+def bucketed_reduce_per_key(ds, key_col, aggs: list, dropna: bool = True):
     """Generic additive/extremal reduce GROUP BY a corpus-cardinality key
     (a single column name or a list of columns for a composite key):
-    per-batch pandas partials → key-hash bucket → per-bucket pandas merge.
+    per-block pandas partials → keyed exchange → per-bucket pandas merge.
     `aggs` = list of (out_col, src_col_or_None, how) with how in
     {'size', 'sum', 'min', 'max'} ('size' partials merge by SUM). The
     n-ary sibling of `bucketed_count_per_key` — same skew bound (a hot key
-    contributes ≤ blocks partial rows, all in one bucket group).
+    contributes ≤ blocks partial rows, all in one bucket).
 
     `dropna=False` keeps null-key rows as their own group (SQL GROUP BY
-    semantics); the bucket hash routes them via _canon_key_str's stable NaN
-    sentinel, so all null-key partials land in one bucket group."""
-    import numpy as np
-
-    from .sketches import hash64
-
+    semantics); the exchange routes every null form of a key to one
+    bucket, so all null-key partials meet in one group."""
     keys = [key_col] if isinstance(key_col, str) else list(key_col)
     merge_how = {"size": "sum", "sum": "sum", "min": "min", "max": "max"}
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def reduce_partials(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(keys, sort=False, dropna=dropna)
         out = {}
         for out_col, src, how in aggs:
             out[out_col] = g.size() if how == "size" else getattr(g[src], how)()
-        p = pd.DataFrame(out).reset_index()
-        from .joins import _canon_key_str
+        return pd.DataFrame(out).reset_index()
 
-        # canonical key form for the bucket hash (see bucketed_count_per_key);
-        # composite keys concatenate canonical forms with a \x1f separator so
-        # ('a:b', 'c') and ('a', 'b:c') can never alias into one bucket key
-        canon = pd.Series(_canon_key_str(p[keys[0]]), index=p.index, dtype=object)
-        for k in keys[1:]:
-            canon = canon + "\x1f" + pd.Series(_canon_key_str(p[k]), index=p.index, dtype=object)
-        p["_kb"] = (hash64(canon.to_numpy()) % np.uint64(num_buckets)).astype(np.int64)
-        return p
-
-    partial.__name__ = "reduce_partials"
     out_cols = [a[0] for a in aggs]
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
+    def bucketed_reduce_merge(g: pd.DataFrame) -> pd.DataFrame:
         gg = g.groupby(keys, sort=False, dropna=dropna)
         out = {c: getattr(gg[c], merge_how[h])() for c, _, h in aggs}
         return pd.DataFrame(out).reset_index()[keys + out_cols]
 
-    final.__name__ = "bucketed_reduce_merge"
     cols = keys + sorted({a[1] for a in aggs if a[1] and a[1] not in keys})
-    return (
-        ds.select_columns(cols)
-        .map_batches(partial, batch_format="pandas")
-        .groupby("_kb")
-        .map_groups(final, batch_format="pandas")
-    )
+    return exchange(ds.select_columns(cols), keys, bucketed_reduce_merge, reduce_partials)

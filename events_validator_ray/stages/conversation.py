@@ -34,14 +34,16 @@ DS2/ICDE'21, see PAPERS.md):
 - Salt: ``chunk = max(turn_idx // chunk, 0)`` for hot conversations, 0 for
   all others. Row count, not turn value, decides salting, so a sparse
   conversation with a huge turn gap stays whole.
-- Phase 1 groups by ``(conv_id, chunk)``, hash-bucketed so one task checks
-  thousands of groups vectorized (``BucketChecker``). A cold conversation is
+- Phase 1 is one keyed exchange (``stages/exchange.py``) by
+  ``(conv_id, chunk)``, so one task checks thousands of groups vectorized
+  (``BucketChecker``). A cold conversation is
   one whole group and is finalized there. Each slice of a hot conversation
   runs the within-slice checks (exact: equal turn values share a slice) and
   emits one packed summary row (``SUMMARY_FIELDS``); chunk>0 slices carry
   their per-row (turn_idx, ts) payload.
 - Phase 2 runs only when the hot set is non-empty. It merges the hot
-  conversations' summaries per conv-hash bucket (``_Phase2Packed``): min
+  conversations' summaries in an exchange keyed by conversation
+  (``_Phase2Packed``): min
   turn, first role, cross-chunk gaps and alternation, and cross-chunk ts
   order re-checked from the payloads against the global prefix max — no
   second corpus scan. Phase 1's ts rows of those suspect chunks are dropped
@@ -61,6 +63,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..spec import Spec
+from .exchange import exchange
 from .validate import DEFAULT_RUN_TS, VIOLATION_SCHEMA
 
 _NEG_INF = np.iinfo(np.int64).min
@@ -316,7 +319,6 @@ class BucketChecker:
     def __init__(self, spec: Spec, run_ts: _dt.datetime = DEFAULT_RUN_TS):
         self.spec = spec
         self.run_ts = run_ts
-        self.__name__ = type(self).__name__
 
     def __call__(self, df) -> pa.Table:
         import pandas as pd
@@ -602,23 +604,6 @@ def _project(ds, spec: Spec):
     return projected.map_batches(drop_unplaceable, batch_format="pyarrow")
 
 
-def _with_bucket(ds, num_buckets: int, cols: tuple[str, ...] = ("conv_id",)):
-    """Append `bucket = hash(cols) % num_buckets` — hash co-location of whole
-    conversations so one task processes thousands of them vectorized."""
-    from ..stages.sketches import hash64
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = hash64(t[cols[0]].to_numpy(zero_copy_only=False)).astype(np.uint64)
-        for c in cols[1:]:
-            extra = t[c].to_numpy(zero_copy_only=False).astype(np.uint64)
-            h = h * np.uint64(0x100000001B3) ^ extra
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int32))
-        )
-
-    return ds.map_batches(add_bucket, batch_format="pyarrow")
-
-
 def detect_skew(ds, chunk: int = 10_000) -> tuple[int, list]:
     """(rows seen, hot set): the hot set is the sorted conv_ids of which
     some block holds at least `chunk` rows. Map-only (per-block value
@@ -630,7 +615,7 @@ def detect_skew(ds, chunk: int = 10_000) -> tuple[int, list]:
     return n_rows, sorted(set(pulled))
 
 
-def _phase1(ds, spec: Spec, run_ts: _dt.datetime, hot: list, chunk: int, num_buckets: int):
+def _phase1(ds, spec: Spec, run_ts: _dt.datetime, hot: list, chunk: int):
     """Within-slice violation rows plus one packed summary row per slice of
     a hot conversation."""
     hot_arr = pa.array(hot)
@@ -652,11 +637,7 @@ def _phase1(ds, spec: Spec, run_ts: _dt.datetime, hot: list, chunk: int, num_buc
         return t.append_column("chunk", salt).append_column("hot", is_hot)
 
     salted = _project(ds, spec).map_batches(add_salt, batch_format="pyarrow")
-    return (
-        _with_bucket(salted, num_buckets, cols=("conv_id", "chunk"))
-        .groupby("bucket")
-        .map_groups(BucketChecker(spec, run_ts), batch_format="pandas")
-    )
+    return exchange(salted, ["conv_id", "chunk"], BucketChecker(spec, run_ts))
 
 
 def conversation_violations(
@@ -664,16 +645,15 @@ def conversation_violations(
     spec: Spec,
     run_ts: _dt.datetime = DEFAULT_RUN_TS,
     chunk: int = 10_000,
-    num_buckets: int = 64,
 ):
     """Per-conversation wide checks; no task holds more than about `chunk`
     rows of one hot conversation. Exact whatever the hot set holds: a cold
     conversation is checked whole in one group, and row count (not turn
     value) decides salting, so sparse gap conversations stay cold.
 
-    Phase 1 hash-buckets (conv_id, chunk) groups. Phase 2 runs only when the
-    hot set is non-empty: it merges the hot conversations' packed summaries
-    per conv-hash bucket, then drops phase 1's ts rows of suspect chunks and
+    Phase 1 is keyed by (conv_id, chunk). Phase 2 runs only when the hot set
+    is non-empty: it merges the hot conversations' packed summaries keyed by
+    conversation, then drops phase 1's ts rows of suspect chunks and
     unions phase 2's corrected rows."""
     import ray
     import ray.data as rd
@@ -682,16 +662,13 @@ def conversation_violations(
     if not n_rows:
         # an empty map_groups output carries no schema
         return rd.from_arrow(VIOLATION_SCHEMA.empty_table())
-    phase1 = _phase1(ds, spec, run_ts, hot, chunk, num_buckets)
+    phase1 = _phase1(ds, spec, run_ts, hot, chunk)
     if not hot:
         return phase1
     # materialized: tiny vs the input, consumed twice
     phase1 = phase1.materialize()
-    p2 = (
-        _with_bucket(phase1.filter(expr="status == 'summary'"), num_buckets, cols=("event_name",))
-        .groupby("bucket")
-        .map_groups(_Phase2Packed(spec, run_ts), batch_format="pandas")
-    )
+    summaries = phase1.filter(expr="status == 'summary'")
+    p2 = exchange(summaries, "event_name", _Phase2Packed(spec, run_ts))
     # only phase 2's issue-bounded OUTPUT (cross-chunk violations + suspect
     # markers of hot conversations) reaches the driver
     p2_tbl = pa.Table.from_pylist(p2.take_all(), schema=VIOLATION_SCHEMA)
@@ -775,7 +752,6 @@ class _Phase2Packed:
     def __init__(self, spec: Spec, run_ts: _dt.datetime):
         self.spec = spec
         self.run_ts = run_ts
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: "pd.DataFrame") -> pa.Table:
         import pandas as pd

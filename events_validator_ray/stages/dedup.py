@@ -34,6 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .exchange import exchange
 from .sketches import hash64
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -283,24 +284,12 @@ class MinHashSignatures:
         )
 
 
-def add_pbucket(t: pa.Table, num_buckets: int) -> pa.Table:
-    """Coarse shuffle bucket from a HASH of (band, band_hash) — never the raw
-    band id (a groupby on a few-valued band key makes whole-corpus-scale
-    groups; this spreads every LSH bucket uniformly over `num_buckets`)."""
-    bh = t["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    bd = t["band"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h = (bh ^ (bd * np.uint64(0x9E3779B97F4A7C15))) * np.uint64(0x100000001B3)
-    pb = (h % np.uint64(num_buckets)).astype(np.int32)
-    return t.append_column("pbucket", pa.array(pb))
-
-
-def _bucket_pairs(ds, id_col: str, num_buckets: int = 32, extra_cols: tuple[str, ...] = (), pair_cap: int = 256):
-    """(band, band_hash) buckets -> candidate (a, b) pairs. Coarse-bucketed:
-    thousands of LSH buckets are processed per task with one vectorized pandas
-    pass (per-bucket UDF dispatch is ~50x slower); the coarse key is a hash of
-    (band, band_hash) so no shuffle group exceeds ~1/num_buckets of the
-    signature table regardless of band count.
+def _bucket_pairs(ds, id_col: str, extra_cols: tuple[str, ...] = (), pair_cap: int = 256):
+    """(band, band_hash) buckets -> candidate (a, b) pairs. One exchange keyed
+    by (band, band_hash): thousands of LSH buckets are processed per task with
+    one vectorized pandas pass (per-bucket UDF dispatch is ~50x slower), and
+    no shuffle group exceeds ~1/bucket_count() of the signature table
+    regardless of band count (never the few-valued raw band).
 
     Pair policy (Broder/MMDS banding): buckets up to `pair_cap` emit ALL
     within-bucket pairs (full recall — the engine is EXACT wherever every
@@ -383,12 +372,7 @@ def _bucket_pairs(ds, id_col: str, num_buckets: int = 32, extra_cols: tuple[str,
         out = pd.concat(parts, ignore_index=True)
         return out.drop_duplicates(["a", "b"])
 
-    pairs_many.__name__ = "pairs_many"
-    return (
-        ds.map_batches(lambda t: add_pbucket(t, num_buckets), batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(pairs_many, batch_format="pandas")
-    )
+    return exchange(ds, ["band", "band_hash"], pairs_many)
 
 
 def _union_find(pairs: list[tuple], all_ids: set | None = None) -> dict:
@@ -958,7 +942,6 @@ def simhash_dedup(
     include_singletons: bool = False,
     assembly: str = "auto",
     driver_max_pairs: int = 100_000,
-    num_buckets: int = 32,
     broadcast_max_labels: int = 200_000,
     pair_cap: int = 1024,
 ):
@@ -975,10 +958,7 @@ def simhash_dedup(
     190 diverse signatures); above the cap the mega-bucket fallback applies
     (near-identical template families, star edges verify at distance ~0)."""
     sig = ds.map_batches(SimHashSignatures(col, id_col), batch_format="pyarrow")
-    pairs = _bucket_pairs(
-        sig, id_col, num_buckets=num_buckets, extra_cols=("simhash",),
-        pair_cap=pair_cap,
-    )
+    pairs = _bucket_pairs(sig, id_col, extra_cols=("simhash",), pair_cap=pair_cap)
 
     def hamming_ok(df: pd.DataFrame) -> pd.DataFrame:
         ha = df["simhash_a"].to_numpy().astype(np.uint64)
@@ -1023,7 +1003,6 @@ def jaccard_allpairs_join(
     id_col: str = "doc_id",
     ngram: int = 3,
     threshold_millis: int = 500,
-    num_buckets: int = 64,
     broadcast_max_docs: int = 2_000_000,
     mode: str = "jaccard",
 ):
@@ -1097,15 +1076,6 @@ def jaccard_allpairs_join(
         .materialize()  # consumed twice: sizes + pair counting
     )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return t.append_column("bucket", pa.array([], type=pa.int64()))
-        b = (
-            hash64(t["sh"].to_numpy(zero_copy_only=False))
-            % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return t.append_column("bucket", pa.array(b))
-
     def bucket_pairs(df: "pd.DataFrame") -> "pd.DataFrame":
         m = df[["sh", "did"]].merge(df[["sh", "did"]], on="sh")
         m = m[m["did_x"] < m["did_y"]]
@@ -1118,21 +1088,11 @@ def jaccard_allpairs_join(
         c["c"] = c["c"].astype(np.int64)
         return c
 
-    # global pair-count reduction: hash-mix the (a,b) pair into ONE int64
-    # bucket key and sum per bucket with a vectorized pandas kernel — Ray's
-    # multi-column groupby sort path is pathologically slow at millions of
-    # rows (measured: >170s for 1.3M pair partials vs ~2s this way), and a
-    # pair key lives in exactly one bucket so per-bucket sums are exact
-    def pair_bucket(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return t.append_column("pbucket", pa.array([], type=pa.int64()))
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = (a * np.uint64(0x9E3779B97F4A7C15)) ^ (b * np.uint64(0xC2B2AE3D27D4EB4F))
-        return t.append_column(
-            "pbucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-        )
-
+    # global pair-count reduction: an exchange keyed by the (a,b) pair and a
+    # vectorized pandas sum per bucket — Ray's multi-column groupby sort path
+    # is pathologically slow at millions of rows (measured: >170s for 1.3M
+    # pair partials vs ~2s this way), and a pair key lives in exactly one
+    # bucket so per-bucket sums are exact
     def sum_pairs(df: "pd.DataFrame") -> "pd.DataFrame":
         out = (
             df.groupby(["a", "b"], sort=False)["c"]
@@ -1142,14 +1102,7 @@ def jaccard_allpairs_join(
         out["inter_sh"] = out["inter_sh"].astype(np.int64)
         return out
 
-    inter = (
-        shingles.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .map_batches(pair_bucket, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(sum_pairs, batch_format="pandas")
-    )
+    inter = exchange(exchange(shingles, "sh", bucket_pairs), ["a", "b"], sum_pairs)
 
     # bucketed count, not groupby(did).aggregate: distinct docs scale with
     # the corpus and Ray's sort aggregate degrades with group cardinality
@@ -1186,12 +1139,7 @@ def jaccard_allpairs_join(
         lambda d: d.rename(columns={"did": "b", "n_sh": "n_b"}),
         batch_format="pandas",
     )
-    joined = bucketed_hash_join(
-        bucketed_hash_join(inter, sz_a, on="a", num_buckets=num_buckets),
-        sz_b,
-        on="b",
-        num_buckets=num_buckets,
-    )
+    joined = bucketed_hash_join(bucketed_hash_join(inter, sz_a, on="a"), sz_b, on="b")
 
     def finish(df: "pd.DataFrame") -> "pd.DataFrame":
         if mode == "containment":
@@ -1287,7 +1235,6 @@ def embedding_candidate_pairs(
     n_bits: int = 8,
     bands: int = 8,
     dim: int | None = None,
-    num_buckets: int = 32,
     pair_cap: int = 20,
 ):
     """Candidate (a, b, emb_norm_a, emb_norm_b) pairs from banded
@@ -1316,9 +1263,7 @@ def embedding_candidate_pairs(
     sig = ds.map_batches(
         HyperplaneLSH(dim, n_bits, bands, col=col, id_col=id_col), batch_format="pyarrow"
     )
-    return _bucket_pairs(
-        sig, id_col, num_buckets=num_buckets, extra_cols=("emb_norm",), pair_cap=pair_cap
-    )
+    return _bucket_pairs(sig, id_col, extra_cols=("emb_norm",), pair_cap=pair_cap)
 
 
 def cosine_verify_pairs(pairs_ds, threshold: float):

@@ -13,33 +13,39 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-def _canon_key_str(s: pd.Series) -> np.ndarray:
-    """Canonical string form of a join key for bucket hashing: integral
-    floats render as int strings so a key that arrives int64 in one block and
-    float64 in another (the int64-with-nulls Arrow->pandas round trip) lands
-    in the same bucket ('5', never '5.0'). NaN keys keep a stable sentinel."""
-    if pd.api.types.is_float_dtype(s):
-        v = s.to_numpy()
-        out = np.empty(len(v), dtype=object)
-        finite = np.isfinite(v)
-        integral = finite & (v == np.floor(v)) & (np.abs(v) < 2**63)
-        out[integral] = v[integral].astype(np.int64).astype(str)
-        rest = ~integral
-        out[rest] = v[rest].astype(str)
-        return out
-    return s.astype(str).to_numpy()
+from .exchange import canon_key_str, exchange
 
 
-def _split_sides(g: pa.Table, left_cols: list[str], right_cols: list[str]):
-    """Split a tagged-union group INSIDE Arrow and convert each side to
-    pandas separately: the other side's null-padded rows never share a pandas
+def _tagged_join(left, right, on: str, left_cols, right_cols, all_cols, join_bucket, prep=None):
+    """ONE exchange serves both sides of a join: each side (after the
+    optional ``prep(side, batch)``) is padded with nulls to the union schema
+    `all_cols`, tagged with its ``__side`` and routed by `on`.
+    ``join_bucket(l, r)`` gets one bucket's two sides back as pandas frames.
+    The split happens INSIDE Arrow and each side converts to pandas
+    separately: the other side's null-padded rows never share a pandas
     column with real values, so int64 payloads (snowflake-scale ids) are
     never degraded to float64 by the union itself."""
-    sides = g["__side"]
-    l = g.filter(pc.equal(sides, "l")).select(left_cols).to_pandas()
-    r = g.filter(pc.equal(sides, "r")).select(right_cols).to_pandas()
-    return l, r
+
+    def tag(side: str):
+        def fn(batch: pd.DataFrame) -> pd.DataFrame:
+            b = prep(side, batch) if prep else batch
+            return b.reindex(columns=all_cols, fill_value=pd.NA).assign(__side=side)
+
+        fn.__name__ = f"tag_{side}"
+        return fn
+
+    both = left.map_batches(tag("l"), batch_format="pandas").union(
+        right.map_batches(tag("r"), batch_format="pandas")
+    )
+
+    def split(g: pa.Table) -> pd.DataFrame:
+        sides = g["__side"]
+        l = g.filter(pc.equal(sides, "l")).select(left_cols).to_pandas()
+        r = g.filter(pc.equal(sides, "r")).select(right_cols).to_pandas()
+        return join_bucket(l, r)
+
+    split.__name__ = join_bucket.__name__
+    return exchange(both, on, split, batch_format="pyarrow")
 
 
 def _nullable_ints(df: pd.DataFrame, skip: tuple[str, ...]) -> pd.DataFrame:
@@ -177,59 +183,31 @@ def arrow_semi_filter(
     return ds.map_batches(flt, batch_format="pyarrow")
 
 
-def asof_join(
-    left,
-    right,
-    on: str,
-    by: str,
-    num_buckets: int = 32,
-    suffix: str = "_r",
-):
+def asof_join(left, right, on: str, by: str, suffix: str = "_r"):
     """As-of join (backward): for each left row, attach the LAST right row of
     the same `by` key with right.on <= left.on — the operator Ray Data lacks,
-    expressed as ONE tagged-union shuffle co-locating both sides by
-    hash(`by`), then a per-bucket vectorized pandas merge_asof.
+    expressed as ONE tagged-union exchange co-locating both sides by `by`,
+    then a per-bucket vectorized pandas merge_asof.
 
     Partitioning assumption: all rows of one `by` key land in one bucket (hash
     co-location) — the same invariant as bucketed_hash_join; salt hot keys
     upstream if a single key outgrows a task. Matches DuckDB
     `ASOF JOIN ... ON l.by = r.by AND l.on >= r.on` when the right side is
     unique per (by, on); pre-aggregate it if not (ties are engine-specific)."""
-    from .sketches import hash64
-
     left_cols = list(left.schema().names)
     right_cols = list(right.schema().names)
     rmap = {c: (c if c in (on, by) else (c + suffix if c in left_cols else c)) for c in right_cols}
     out_right = [rmap[c] for c in right_cols if c not in (on, by)]
     all_cols = left_cols + out_right
 
-    def tag(side: str):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            b = batch.copy()
-            if side == "r":
-                # SQL ASOF equi-condition on `by` never matches NULL: drop
-                # right rows with null keys (left nulls stay as unmatched)
-                b = b[b[by].notna() & b[on].notna()]
-                b = b.rename(columns=rmap)
-            for c in all_cols:
-                if c not in b.columns:
-                    b[c] = pd.NA
-            b = b[all_cols]
-            b["__bucket"] = (
-                hash64(_canon_key_str(b[by])) % np.uint64(num_buckets)
-            ).astype(np.int64)
-            b["__side"] = side
+    def prep(side: str, b: pd.DataFrame) -> pd.DataFrame:
+        if side == "l":
             return b
+        # SQL ASOF equi-condition on `by` never matches NULL: drop right rows
+        # with null keys (left nulls stay as unmatched)
+        return b[b[by].notna() & b[on].notna()].rename(columns=rmap)
 
-        fn.__name__ = f"tag_{side}"
-        return fn
-
-    lt = left.map_batches(tag("l"), batch_format="pandas")
-    rt = right.map_batches(tag("r"), batch_format="pandas")
-    both = lt.union(rt)
-
-    def join_bucket(g: pa.Table) -> pd.DataFrame:
-        l, r = _split_sides(g, left_cols, [by, on] + out_right)
+    def asof_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
         # pandas merge_asof RAISES on null on-keys (and by-nulls are
         # dtype-dependent); SQL ASOF LEFT JOIN keeps such left rows
         # unmatched (NULL never satisfies the equi/inequality condition) —
@@ -249,30 +227,21 @@ def asof_join(
             merged = pd.concat([merged, null_on[all_cols]], ignore_index=True)
         return merged[all_cols]
 
-    join_bucket.__name__ = "asof_bucket"
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _tagged_join(
+        left, right, by, left_cols, [by, on] + out_right, all_cols, asof_bucket, prep
+    )
 
 
-def range_join(
-    left,
-    right,
-    on: str,
-    point: str,
-    lo: str,
-    hi: str,
-    num_buckets: int = 32,
-):
+def range_join(left, right, on: str, point: str, lo: str, hi: str):
     """Range (point-in-interval) join: each left row matches right rows of the
     same `on` key whose [lo, hi] interval contains left.`point` (inclusive) —
-    e.g. event -> session assignment. One tagged-union shuffle co-locating by
-    hash(`on`); per bucket a pandas equi-merge on the key followed by the
+    e.g. event -> session assignment. One tagged-union exchange co-locating
+    by `on`; per bucket a pandas equi-merge on the key followed by the
     interval filter.
 
     Partitioning assumption: all rows of one key share a bucket; the per-key
     interval count bounds the transient merge fan-out (sessions per user, not
     the corpus)."""
-    from .sketches import hash64
-
     left_cols = list(left.schema().names)
     right_cols = list(right.schema().names)
     out_right = [c for c in right_cols if c != on]
@@ -288,36 +257,19 @@ def range_join(
         )
     all_cols = left_cols + out_right
 
-    def tag(side: str):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            # SQL equi-join semantics: NULL keys never match (inner join —
-            # drop on both sides; see bucketed_hash_join)
-            b = batch[batch[on].notna()].copy()
-            for c in all_cols:
-                if c not in b.columns:
-                    b[c] = pd.NA
-            b = b[all_cols]
-            b["__bucket"] = (
-                hash64(_canon_key_str(b[on])) % np.uint64(num_buckets)
-            ).astype(np.int64)
-            b["__side"] = side
-            return b
+    def prep(side: str, b: pd.DataFrame) -> pd.DataFrame:
+        # SQL equi-join semantics: NULL keys never match (inner join — drop
+        # on both sides; see bucketed_hash_join)
+        return b[b[on].notna()]
 
-        fn.__name__ = f"tag_{side}"
-        return fn
-
-    lt = left.map_batches(tag("l"), batch_format="pandas")
-    rt = right.map_batches(tag("r"), batch_format="pandas")
-    both = lt.union(rt)
-
-    def join_bucket(g: pa.Table) -> pd.DataFrame:
-        l, r = _split_sides(g, left_cols, [on] + out_right)
+    def range_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
         m = l.merge(r, on=on, how="inner")  # typed even when a side is empty
         keep = (m[point] >= m[lo]) & (m[point] <= m[hi])
         return m[keep][all_cols]
 
-    join_bucket.__name__ = "range_bucket"
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _tagged_join(
+        left, right, on, left_cols, [on] + out_right, all_cols, range_bucket, prep
+    )
 
 
 class BloomFilter:
@@ -377,7 +329,7 @@ def build_bloom(keys_ds, on: str, n_bits_log2: int = 22, k: int = 4) -> BloomFil
     import pickle
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        b = BloomFilter(n_bits_log2, k).add(_canon_key_str(df[on]))
+        b = BloomFilter(n_bits_log2, k).add(canon_key_str(df[on]))
         return pd.DataFrame({"payload": [pickle.dumps(b.bits)]})
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
@@ -414,7 +366,6 @@ def bloom_semi_join(
     on: str,
     n_bits_log2: int = 22,
     k: int = 4,
-    num_buckets: int = 32,
     keys_distinct: bool = False,
 ):
     """EXACT semi-join for key sets too large to broadcast exactly: a Bloom
@@ -438,7 +389,7 @@ def bloom_semi_join(
             if isinstance(obj, ray.ObjectRef):
                 obj = ray.get(obj)
             holder["b"] = obj
-        return df[holder["b"].contains(_canon_key_str(df[on]))]
+        return df[holder["b"].contains(canon_key_str(df[on]))]
 
     survivors = left.map_batches(prefilter, batch_format="pandas")
     # exact pass: the inner bucketed join of survivors against the DISTINCT
@@ -456,7 +407,7 @@ def bloom_semi_join(
         from .assembly import bucketed_distinct_values
 
         distinct_keys = bucketed_distinct_values(keys_ds, on)
-    return bucketed_hash_join(survivors, distinct_keys, on=on, num_buckets=num_buckets)
+    return bucketed_hash_join(survivors, distinct_keys, on=on)
 
 
 def bloom_anti_join(
@@ -465,7 +416,6 @@ def bloom_anti_join(
     on: str,
     n_bits_log2: int = 22,
     k: int = 4,
-    num_buckets: int = 32,
     keys_distinct: bool = False,
 ):
     """EXACT anti-join — `left WHERE NOT EXISTS (key match)` — the orphan /
@@ -497,7 +447,7 @@ def bloom_anti_join(
         # NULL keys never match any key -> definite keeps, routed to the
         # miss stream (the hit stream then carries no NULL keys at all)
         return pd.Series(
-            holder["b"].contains(_canon_key_str(df[on])) & df[on].notna().to_numpy(),
+            holder["b"].contains(canon_key_str(df[on])) & df[on].notna().to_numpy(),
             index=df.index,
         )
 
@@ -525,7 +475,7 @@ def bloom_anti_join(
         lambda df: df.assign(__m=np.int8(1)), batch_format="pandas"
     )
     left_cols = list(left.schema().names)
-    joined = bucketed_hash_join(hits, marked, on=on, num_buckets=num_buckets, how="left")
+    joined = bucketed_hash_join(hits, marked, on=on, how="left")
 
     def keep_unmatched(df: pd.DataFrame) -> pd.DataFrame:
         return df.loc[df["__m"].isna(), left_cols]
@@ -534,124 +484,61 @@ def bloom_anti_join(
     return misses.union(joined.map_batches(keep_unmatched, batch_format="pandas"))
 
 
-def bucketed_hash_join(
-    left,
-    right,
-    on: str,
-    num_buckets: int = 32,
-    how: str = "inner",
-):
-    """Both-sides-large join: add `bucket = hash(key) % B` to both sides,
-    co-group per bucket, pandas-merge inside the group (the portable
-    partitioned hash join from the guide; salt hot keys upstream if skewed).
-
-    Implemented with a tagged union + groupby(bucket) so ONE shuffle serves
-    both sides (each side padded to the union schema with nulls before the
-    union; the per-bucket merge selects its own columns back)."""
-    from .sketches import hash64
-
-    left_cols = [c for c in left.schema().names]
-    right_cols = [c for c in right.schema().names]
+def bucketed_hash_join(left, right, on: str, how: str = "inner"):
+    """Both-sides-large join: co-group both sides by `on` in ONE tagged-union
+    exchange and pandas-merge inside each bucket (the portable partitioned
+    hash join from the guide; salt hot keys upstream if skewed)."""
+    left_cols = list(left.schema().names)
+    right_cols = list(right.schema().names)
     all_cols = left_cols + [c for c in right_cols if c not in left_cols]
 
-    def tag(side: str, own_cols: list[str]):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            b = batch.copy()
-            # SQL equi-join semantics: NULL keys never match. pandas merge
-            # DOES match NaN==NaN, so drop null-key rows before the shuffle —
-            # right side always; left side too for inner joins (left/outer
-            # joins keep left NULL-key rows as unmatched NA-padded output).
-            if side == "r" or how == "inner":
-                b = b[b[on].notna()]
-            for c in all_cols:
-                if c not in b.columns:
-                    b[c] = pd.NA
-            b = b[all_cols]
-            # hash the key's CANONICAL string form: blocks may carry the same
-            # key as int64 in one block and float64/object in another (NA
-            # padding, Arrow->pandas round trips), and hash64 is
-            # dtype-sensitive — '5' and '5.0' must share a bucket
-            b["__bucket"] = (
-                hash64(_canon_key_str(b[on])) % np.uint64(num_buckets)
-            ).astype(np.int64)
-            b["__side"] = side
-            return b
+    def prep(side: str, b: pd.DataFrame) -> pd.DataFrame:
+        # SQL equi-join semantics: NULL keys never match. pandas merge DOES
+        # match NaN==NaN, so drop null-key rows before the shuffle — right
+        # side always; left side too for inner joins (left/outer joins keep
+        # left NULL-key rows as unmatched NA-padded output).
+        return b[b[on].notna()] if side == "r" or how == "inner" else b
 
-        fn.__name__ = f"tag_{side}"
-        return fn
-
-    lt = left.map_batches(tag("l", left_cols), batch_format="pandas")
-    rt = right.map_batches(tag("r", right_cols), batch_format="pandas")
-    both = lt.union(rt)
-
-    def join_bucket(g: pa.Table) -> pd.DataFrame:
-        l, r = _split_sides(g, left_cols, right_cols)
+    def join_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
         if how != "inner":
             r = _nullable_ints(r, skip=(on,))
         # pandas merge keeps both sides' dtypes when one is empty, so empty
         # buckets emit the same block schema as full ones (no schema flips)
         return l.merge(r, on=on, how=how)
 
-    join_bucket.__name__ = "join_bucket"
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _tagged_join(left, right, on, left_cols, right_cols, all_cols, join_bucket, prep)
 
 
-def full_outer_join(
-    left,
-    right,
-    on: str,
-    num_buckets: int = 32,
-):
+def full_outer_join(left, right, on: str):
     """FULL OUTER join for two large sides: every row of both inputs appears
     once — matched rows merged, unmatched rows NA-padded on the other side's
-    columns. Same single tagged-union shuffle as ``bucketed_hash_join``.
+    columns. Same single tagged-union exchange as ``bucketed_hash_join``.
 
     SQL NULL-key semantics: a NULL key never equals anything, including
     another NULL — but FULL OUTER still KEEPS those rows as unmatched output.
-    pandas ``merge`` would happily match NaN == NaN, so null-key rows are
-    routed to two SIDE-SPECIFIC overflow buckets (left nulls and right nulls
-    never share a task); their outer-merge against the typed empty other
-    side emits them unmatched through the exact same kernel — no special-case
-    padding code path that could flip block schemas.
+    pandas ``merge`` would happily match NaN == NaN, so each side's null-key
+    rows are outer-merged against the typed empty other side: they come out
+    unmatched through the same kernel, with no separate padding path that
+    could flip block schemas.
 
     The reconciliation join (feed A vs feed B: what's only in A, only in B,
     or in both?) — the recon shape Ray Data's API doesn't express natively."""
-    from .sketches import hash64
-
-    left_cols = [c for c in left.schema().names]
-    right_cols = [c for c in right.schema().names]
+    left_cols = list(left.schema().names)
+    right_cols = list(right.schema().names)
     all_cols = left_cols + [c for c in right_cols if c not in left_cols]
 
-    def tag(side: str):
-        null_bucket = num_buckets if side == "l" else num_buckets + 1
-
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            b = batch.copy()
-            for c in all_cols:
-                if c not in b.columns:
-                    b[c] = pd.NA
-            b = b[all_cols]
-            bucket = (hash64(_canon_key_str(b[on])) % np.uint64(num_buckets)).astype(
-                np.int64
-            )
-            b["__bucket"] = np.where(b[on].notna().to_numpy(), bucket, null_bucket)
-            b["__side"] = side
-            return b
-
-        fn.__name__ = f"tag_{side}"
-        return fn
-
-    lt = left.map_batches(tag("l"), batch_format="pandas")
-    rt = right.map_batches(tag("r"), batch_format="pandas")
-    both = lt.union(rt)
-
-    def join_bucket(g: pa.Table) -> pd.DataFrame:
-        l, r = _split_sides(g, left_cols, right_cols)
+    def full_outer_bucket(l: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
         # BOTH sides can be the unmatched one: nullable ints everywhere so
         # NA padding never degrades int64 payloads through float64
         l = _nullable_ints(l, skip=(on,))
         r = _nullable_ints(r, skip=(on,))
-        return l.merge(r, on=on, how="outer")
+        ln, rn = l[on].isna(), r[on].isna()
+        out = l[~ln].merge(r[~rn], on=on, how="outer")
+        parts = [out]
+        if ln.any():
+            parts.append(l[ln].merge(r.iloc[:0], on=on, how="outer"))
+        if rn.any():
+            parts.append(l.iloc[:0].merge(r[rn], on=on, how="outer"))
+        return pd.concat(parts, ignore_index=True) if len(parts) > 1 else out
 
-    join_bucket.__name__ = "full_outer_bucket"
-    return both.groupby("__bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _tagged_join(left, right, on, left_cols, right_cols, all_cols, full_outer_bucket)

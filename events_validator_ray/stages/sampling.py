@@ -674,8 +674,8 @@ def grouped_quantiles(ds, key: str, col: str, qs=(0.5, 0.9, 0.99)):
     distribution stats (e.g. price quantiles per priority class, turn-count
     quantiles per role).
 
-    Scale shape: per-batch pandas (key, col) pair counts → KEY-hash bucket →
-    per-bucket partial merge + rank walk, one shuffle whose volume is
+    Scale shape: per-block pandas (key, col) pair counts → exchange keyed by
+    KEY → per-bucket partial merge + rank walk, one shuffle whose volume is
     bounded by blocks × per-block joint cardinality, never the corpus — and
     never `groupby([key, col]).aggregate()`, whose sort degrades with GROUP
     cardinality (a continuous col makes the pair count ≈ the corpus; the
@@ -684,13 +684,9 @@ def grouped_quantiles(ds, key: str, col: str, qs=(0.5, 0.9, 0.99)):
     Dataset (key, q_permille, value)."""
     import numpy as np
 
-    from .sketches import hash64
+    from .exchange import exchange
 
-    num_buckets = 64
-
-    def pair_partials(df: pd.DataFrame) -> pd.DataFrame:
-        from .joins import _canon_key_str
-
+    def grouped_quantile_partials(df: pd.DataFrame) -> pd.DataFrame:
         out = (
             df.groupby([key, col], sort=False, dropna=False)
             .size()
@@ -698,15 +694,7 @@ def grouped_quantiles(ds, key: str, col: str, qs=(0.5, 0.9, 0.99)):
             .reset_index()
         )
         out["n"] = out["n"].astype("int64")
-        out["_kb"] = (
-            hash64(_canon_key_str(out[key])) % np.uint64(num_buckets)
-        ).astype(np.int64)
         return out
-
-    pair_partials.__name__ = "grouped_quantile_partials"
-    vc_parts = ds.select_columns([key, col]).map_batches(
-        pair_partials, batch_format="pandas"
-    )
 
     def per_key(g: pd.DataFrame) -> pd.DataFrame:
         group_val = g[key].iloc[0]
@@ -735,7 +723,7 @@ def grouped_quantiles(ds, key: str, col: str, qs=(0.5, 0.9, 0.99)):
             )
         return pd.DataFrame(rows)
 
-    def bucket_final(g: pd.DataFrame) -> pd.DataFrame:
+    def per_key_rank_walk(g: pd.DataFrame) -> pd.DataFrame:
         # merge cross-block partials (sum per pair), then walk each key
         m = (
             g.groupby([key, col], sort=False, dropna=False)["n"]
@@ -745,5 +733,6 @@ def grouped_quantiles(ds, key: str, col: str, qs=(0.5, 0.9, 0.99)):
         outs = [per_key(sub) for _, sub in m.groupby(key, sort=False, dropna=False)]
         return pd.concat(outs, ignore_index=True)
 
-    bucket_final.__name__ = "grouped_quantiles"
-    return vc_parts.groupby("_kb").map_groups(bucket_final, batch_format="pandas")
+    return exchange(
+        ds.select_columns([key, col]), key, per_key_rank_walk, grouped_quantile_partials
+    )

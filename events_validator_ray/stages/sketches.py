@@ -750,7 +750,6 @@ def len_drift_days(ds) -> pd.DataFrame:
         sub.map_batches(day_bin_key, batch_format="pyarrow"),
         "_db",
         "n_obs",
-        num_buckets=8,
     )
     df = counts.to_pandas()  # bounded: days × 17 cells
     parts = df["_db"].str.split("|", n=1, expand=True)
@@ -786,8 +785,21 @@ def transition_drift(ds) -> pd.DataFrame:
     )
 
 
-def hll_count_per_key(ds, key_col: str, val_col: str, out_col: str,
-                      p: int = 12, num_buckets: int = 64):
+def _per_key_partials(df: pd.DataFrame, key_col: str, sketch) -> pd.DataFrame:
+    """One serialized sketch per canonical key of a block: ``sketch(sub)``
+    maps the key's rows to bytes. The loop is over KEYS in the block, never
+    rows."""
+    from .exchange import canon_key_str
+
+    canon = pd.Series(canon_key_str(df[key_col]), index=df.index)
+    keys, blobs = [], []
+    for k, sub in df.groupby(canon, sort=False):
+        keys.append(k)
+        blobs.append(sketch(sub))
+    return pd.DataFrame({key_col: keys, "_sk": blobs})
+
+
+def hll_count_per_key(ds, key_col: str, val_col: str, out_col: str, p: int = 12):
     """Approximate COUNT(DISTINCT val) GROUP BY key — the 10^12-scale cheap
     path next to assembly.distinct_count_per_key's exact one. The exact
     operator must ship every DISTINCT (key, val) pair through the exchange
@@ -797,35 +809,24 @@ def hll_count_per_key(ds, key_col: str, val_col: str, out_col: str,
     (≈1.6%) relative error.
 
     Shape: per-block partials (one vectorized hash64+register pass per key
-    group — the python loop is over KEYS in the block, never rows) → key-hash
-    int64 bucket → per-bucket register max-merge + estimate. The final
-    reduce never uses groupby(key).aggregate (the documented sort-aggregate
-    hazard). Intended for key cardinalities where a 4 KB sketch per key is
-    cheap (days, days×dims, shards); the EXACT operator remains the tool
-    when keys are few but values must be exact."""
-    import numpy as np
+    group) → keyed exchange → per-bucket register max-merge + estimate. The
+    final reduce never uses groupby(key).aggregate (the documented
+    sort-aggregate hazard). Intended for key cardinalities where a 4 KB
+    sketch per key is cheap (days, days×dims, shards); the EXACT operator
+    remains the tool when keys are few but values must be exact."""
+    from .exchange import exchange
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        from .joins import _canon_key_str
+    def registers(sub: pd.DataFrame) -> bytes:
+        h = HLL(p)
+        vals = sub[val_col].dropna().to_numpy()
+        if len(vals):
+            h.add_values(vals)
+        return h.registers.tobytes()
 
-        keys, regs = [], []
-        canon = pd.Series(_canon_key_str(df[key_col]), index=df.index)
-        for k, sub in df.groupby(canon, sort=False):
-            h = HLL(p)
-            vals = sub[val_col].dropna().to_numpy()
-            if len(vals):
-                h.add_values(vals)
-            keys.append(k)
-            regs.append(h.registers.tobytes())
-        out = pd.DataFrame({key_col: keys, "_regs": regs})
-        out["_kb"] = (
-            hash64(np.asarray(keys, dtype=object)) % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return out
+    def hll_key_partials(df: pd.DataFrame) -> pd.DataFrame:
+        return _per_key_partials(df, key_col, registers)
 
-    partial.__name__ = "hll_key_partials"
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
+    def hll_key_merge(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
             return pd.DataFrame(
                 {key_col: pd.Series(dtype=object), out_col: pd.Series(dtype="int64")}
@@ -834,7 +835,7 @@ def hll_count_per_key(ds, key_col: str, val_col: str, out_col: str,
         for k, sub in g.groupby(key_col, sort=False):
             merged = HLL(p)
             stacked = np.stack(
-                [np.frombuffer(b, dtype=np.uint8) for b in sub["_regs"]]
+                [np.frombuffer(b, dtype=np.uint8) for b in sub["_sk"]]
             )
             merged.registers = stacked.max(axis=0)
             rows.append((k, int(math.floor(merged.estimate() + 0.5))))
@@ -842,18 +843,14 @@ def hll_count_per_key(ds, key_col: str, val_col: str, out_col: str,
             {out_col: "int64"}
         )
 
-    final.__name__ = "hll_key_merge"
-    return (
-        ds.select_columns([key_col, val_col])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("_kb")
-        .map_groups(final, batch_format="pandas")
+    return exchange(
+        ds.select_columns([key_col, val_col]), key_col, hll_key_merge, hll_key_partials
     )
 
 
 def tdigest_quantile_per_key(ds, key_col: str, val_col: str,
                              qs: tuple[float, ...] = (0.5, 0.95),
-                             delta: float = 200.0, num_buckets: int = 64):
+                             delta: float = 200.0):
     """Approximate per-key quantiles via mergeable t-digests — the
     sketch-per-group counterpart of `hll_count_per_key` for the quantile
     plane (sampling.grouped_quantiles stays the EXACT tool when per-key
@@ -862,32 +859,24 @@ def tdigest_quantile_per_key(ds, key_col: str, val_col: str,
     per-key row count — per-day p95 latency at 10^12 rows without shipping
     the column.
 
+    Each key's partial digests merge in a canonical order (sorted by their
+    payload bytes), so the estimate depends only on the set of partials —
+    not on the order the exchange delivers them, nor on the bucket count.
+
     Emits one row per key with q{...}_est float columns (digest estimates
     are approximate by contract — no SQL twin; tests pin them against the
     exact quantiles)."""
-    import numpy as np
+    from .exchange import exchange
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        from .joins import _canon_key_str
+    def digest(sub: pd.DataFrame) -> bytes:
+        td = TDigest(delta)
+        td.add_values(sub[val_col].to_numpy(dtype="float64", na_value=np.nan))
+        return np.concatenate([td.means, td.weights]).astype("float64").tobytes()
 
-        keys, blobs = [], []
-        canon = pd.Series(_canon_key_str(df[key_col]), index=df.index)
-        for k, sub in df.groupby(canon, sort=False):
-            td = TDigest(delta)
-            td.add_values(sub[val_col].to_numpy(dtype="float64", na_value=np.nan))
-            keys.append(k)
-            blobs.append(
-                np.concatenate([td.means, td.weights]).astype("float64").tobytes()
-            )
-        out = pd.DataFrame({key_col: keys, "_td": blobs})
-        out["_kb"] = (
-            hash64(np.asarray(keys, dtype=object)) % np.uint64(num_buckets)
-        ).astype(np.int64)
-        return out
+    def tdigest_key_partials(df: pd.DataFrame) -> pd.DataFrame:
+        return _per_key_partials(df, key_col, digest)
 
-    partial.__name__ = "tdigest_key_partials"
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
+    def tdigest_key_merge(g: pd.DataFrame) -> pd.DataFrame:
         cols = {key_col: []}
         for q in qs:
             cols[f"q{int(round(q * 100)):02d}_est"] = []
@@ -895,7 +884,7 @@ def tdigest_quantile_per_key(ds, key_col: str, val_col: str,
             return pd.DataFrame(cols)
         for k, sub in g.groupby(key_col, sort=False):
             merged = TDigest(delta)
-            for b in sub["_td"]:
+            for b in sorted(sub["_sk"]):
                 arr = np.frombuffer(b, dtype=np.float64)
                 half = len(arr) // 2
                 other = TDigest(delta)
@@ -909,12 +898,8 @@ def tdigest_quantile_per_key(ds, key_col: str, val_col: str,
                 )
         return pd.DataFrame(cols)
 
-    final.__name__ = "tdigest_key_merge"
-    return (
-        ds.select_columns([key_col, val_col])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("_kb")
-        .map_groups(final, batch_format="pandas")
+    return exchange(
+        ds.select_columns([key_col, val_col]), key_col, tdigest_key_merge, tdigest_key_partials
     )
 
 

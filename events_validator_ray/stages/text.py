@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .sketches import hash64
+from .exchange import exchange
 
 TOKEN_PATTERN = r"[a-z0-9]+"
 
@@ -520,22 +520,22 @@ class _GramTriples:
         )
 
 
-def dup_spans(ds, k: int = 5, num_buckets: int = 64, id_col: str = "doc_id"):
+def dup_spans(ds, k: int = 5, id_col: str = "doc_id"):
     """Cross-document duplicate SPAN detection — the substring-level dedup
     signal (duplicated training text is duplicated in spans, not whole
     documents): per doc, the merged token intervals covered by k-grams that
     occur in >= 2 DISTINCT documents, reported as (doc_id, n_dup_spans,
     n_dup_tokens). Docs whose every gram is unique don't appear.
 
-    Scale shape (two bucketed shuffles over 24-byte triples, text never
+    Scale shape (two keyed exchanges over 24-byte triples, text never
     shuffles):
     1. map-only gram triples (doc_id, pos, gh) — _GramTriples;
-    2. gh-hash bucket -> per-bucket vectorized filter: a bucket holds ALL
-       rows of each gram it owns (bucket = f(gh)), so the >= 2-distinct-docs
+    2. exchange keyed by gh -> per-bucket vectorized filter: a bucket holds
+       ALL rows of each gram it owns, so the >= 2-distinct-docs
        test is globally exact inside the bucket. Skew bound: the hottest
        gram's positions land in one task, vectorized O(rows) — same bound
        the dedup LSH bucket stages document;
-    3. doc-hash bucket -> per-bucket vectorized interval union (sorted pos,
+    3. exchange keyed by doc -> per-bucket vectorized interval union (sorted pos,
        group-reset cummax of span ends): n_dup_spans = interval count,
        n_dup_tokens = union length. The short-doc fallback shingle
        (1..k-1 tokens -> one gram) accounts its span as k on BOTH the
@@ -556,8 +556,6 @@ def dup_spans(ds, k: int = 5, num_buckets: int = 64, id_col: str = "doc_id"):
         # broadcasts the per-gram count back to rows without a merge
         ndocs = g.groupby("gh", sort=False)[id_col].transform("nunique")
         return g.loc[ndocs.to_numpy() >= 2, [id_col, "pos"]]
-
-    dup_gram_positions.__name__ = "dup_gram_positions"
 
     def span_union(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -595,37 +593,11 @@ def dup_spans(ds, k: int = 5, num_buckets: int = 64, id_col: str = "doc_id"):
             {id_col: "int64", "n_dup_spans": "int64", "n_dup_tokens": "int64"}
         )
 
-    span_union.__name__ = "span_union"
-
-    def bucket_by_gram(t: pa.Table) -> pa.Table:
-        b = t["gh"].to_numpy(zero_copy_only=False).view(np.uint64) % np.uint64(
-            num_buckets
-        )
-        return t.append_column("_b", pa.array(b.astype(np.int64), pa.int64()))
-
-    bucket_by_gram.__name__ = "bucket_by_gram"
-
-    def bucket_by_doc(df: pd.DataFrame) -> pd.DataFrame:
-        b = df[id_col].to_numpy(dtype=np.int64).view(np.uint64) % np.uint64(
-            num_buckets
-        )
-        return df.assign(_db=b.astype(np.int64))
-
-    bucket_by_doc.__name__ = "bucket_by_doc"
-
     triples = ds.select_columns([id_col, "text"]).map_batches(
         _GramTriples(id_col=id_col, k=k), batch_format="pyarrow"
     )
-    dup_pos = (
-        triples.map_batches(bucket_by_gram, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(dup_gram_positions, batch_format="pandas")
-    )
-    return (
-        dup_pos.map_batches(bucket_by_doc, batch_format="pandas")
-        .groupby("_db")
-        .map_groups(span_union, batch_format="pandas")
-    )
+    dup_pos = exchange(triples, "gh", dup_gram_positions)
+    return exchange(dup_pos, id_col, span_union)
 
 
 class TermFrequencies:
@@ -687,9 +659,11 @@ def oov_stats(ds, vocab_k: int = 64, col: str = "text", id_col: str = "doc_id"):
     import ray
 
     from ..functions.textkernels import tokenize
+    from .assembly import bucketed_count_per_key
 
     tf = ds.map_batches(TermFrequencies(col, id_col), batch_format="pyarrow")
-    dfs = term_document_frequencies(tf)
+    # (term, df): one tf row per (doc, term), so a row count is the df
+    dfs = bucketed_count_per_key(tf, "term", "df")
     top = dfs.sort(["df", "term"], descending=[True, False]).limit(vocab_k).take_all()
     vocab_ref = ray.put(pa.array([r["term"] for r in top], pa.string()))
 
@@ -712,31 +686,6 @@ def oov_stats(ds, vocab_k: int = 64, col: str = "text", id_col: str = "doc_id"):
         )
 
     return ds.map_batches(score, batch_format="pyarrow")
-
-
-def term_document_frequencies(tf_ds, num_buckets: int = 64):
-    """(term, df) from a (doc_id, term, tf) Dataset — df is the number of
-    documents containing the term. Hash-bucketed exact reduction: one int64
-    bucket key shuffle (multi-key / raw-string groupby is the known Ray
-    hazard), exact per-term counts inside each bucket group. Vocabulary-scale,
-    never corpus-scale."""
-
-    def with_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        b = (hash64(df["term"].to_numpy(dtype=object)) % np.uint64(num_buckets)).astype(
-            np.int64
-        )
-        return df.assign(bucket=b)[["term", "bucket"]]
-
-    def count_terms(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("term", sort=False).size().reset_index(name="df")
-        out["df"] = out["df"].astype("int64")
-        return out[["term", "df"]]
-
-    return (
-        tf_ds.map_batches(with_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(count_terms, batch_format="pandas")
-    )
 
 
 def _bitlen_pos(m: np.ndarray) -> np.ndarray:
@@ -781,7 +730,6 @@ def tfidf_top_terms(
     col: str = "text",
     id_col: str = "doc_id",
     broadcast_max_terms: int = 2_000_000,
-    num_buckets: int = 64,
 ):
     """Per-document most-distinctive term by tf x integer-idf, where
     idf_int = bitlen(n_docs // df) (an exact-integer idf quantization:
@@ -794,9 +742,10 @@ def tfidf_top_terms(
     (`broadcast_max_terms`), finishing tf-idf + per-doc argmax entirely
     map-side with ZERO extra shuffle (tf blocks are doc-local); above the
     threshold, attach df with `bucketed_hash_join` on term and finish with a
-    per-batch partial argmax + one groupby(doc) reduction."""
+    per-block partial argmax + one exchange keyed by doc."""
     import ray
 
+    from .assembly import bucketed_count_per_key
     from .joins import bucketed_hash_join
 
     tf_stage = TermFrequencies(col, id_col)
@@ -804,7 +753,7 @@ def tfidf_top_terms(
     # materialize the vocabulary-sized df table: count() + the consumer below
     # would otherwise re-run the whole corpus tokenization per use (the
     # ngram_pmi hazard, documented there)
-    df_ds = term_document_frequencies(tf_ds, num_buckets=num_buckets).materialize()
+    df_ds = bucketed_count_per_key(tf_ds, "term", "df").materialize()
     n_terms = df_ds.count()
 
     if n_terms <= broadcast_max_terms:
@@ -846,40 +795,23 @@ def tfidf_top_terms(
     # join path: materialize the corpus-scale tf table once — the join
     # consumes it a second time and a lazy plan would re-tokenize
     tf_ds = tf_ds.materialize()
-    joined = bucketed_hash_join(tf_ds, df_ds, on="term", num_buckets=num_buckets)
+    joined = bucketed_hash_join(tf_ds, df_ds, on="term")
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        from .sketches import hash64
-
+    def partial_argmax(batch: pd.DataFrame) -> pd.DataFrame:
         if len(batch) == 0:
-            return pd.DataFrame(
-                {id_col: pd.Series(dtype="int64"),
-                 "top_term": pd.Series(dtype=object),
-                 "top_score": pd.Series(dtype="int64"),
-                 "_kb": pd.Series(dtype="int64")}
-            )
+            return _argmax_per_doc(batch, id_col)
         idf = _bitlen_pos(np.int64(n_docs) // batch["df"].to_numpy(dtype=np.int64))
         scored = batch.assign(score=batch["tf"].to_numpy(dtype=np.int64) * idf)
-        best = _argmax_per_doc(scored, id_col)
-        # id-hash bucket for the final reduce: groupby(doc_id) pays the
-        # sort-aggregate group-cardinality cost (CLAUDE.md rule) — 64
-        # buckets don't
-        best["_kb"] = (
-            hash64(best[id_col].astype(str).to_numpy(dtype=object)) % np.uint64(64)
-        ).astype(np.int64)
-        return best
+        return _argmax_per_doc(scored, id_col)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        best = _argmax_per_doc(
+    def final_argmax(g: pd.DataFrame) -> pd.DataFrame:
+        return _argmax_per_doc(
             g.rename(columns={"top_score": "score", "top_term": "term"}), id_col
         )
-        return best
 
-    return (
-        joined.map_batches(partial, batch_format="pandas")
-        .groupby("_kb")
-        .map_groups(final, batch_format="pandas")
-    )
+    # keyed by doc: groupby(doc_id).aggregate() pays the sort-aggregate
+    # cost per GROUP (BASELINE.md addendum)
+    return exchange(joined, id_col, final_argmax, partial_argmax)
 
 
 def ngram_topk(ds, n: int = 2, k: int = 50, col: str = "text"):

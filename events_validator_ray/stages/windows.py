@@ -9,8 +9,8 @@ tumbling / session windows, expressed Dataset-first.
   map_batches, then an ordinary `groupby(key, window).aggregate(...)` —
   one hash shuffle of (key, window, partial) rows.
 - Session: per-key gap-based segmentation needs ordered per-key state →
-  `groupby(key)` + a vectorized multi-key pass (same bucketing pattern as
-  stages/conversation.py).
+  one keyed exchange (stages/exchange.py) + a vectorized multi-key pass per
+  bucket.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .exchange import exchange
 
 
 def _ts_us_float(series: pd.Series) -> pd.Series:
@@ -45,17 +47,14 @@ def tumbling_window_agg(
     """Per (key, tumbling window) count and optional sum. Returns a Dataset
     with (key, window_start (epoch s), n, sum_value?).
 
-    Scale shape: per-batch pandas partials over (key, window) → pair-hash
-    bucket → per-bucket merge. Distinct (key, window) groups scale with
+    Scale shape: per-block pandas partials over (key, window) → exchange
+    keyed by the pair → per-bucket merge. Distinct (key, window) groups scale with
     users × time span, so a `groupby([key, window]).aggregate()` pays the
     sort-aggregate group-cardinality cost (CLAUDE.md rule) — the same
     packed-pair cure sliding_window_distinct uses."""
     out_cols = [key, "window_start", "n"] + (["sum_value"] if value_col else [])
 
-    def partial(t: pa.Table) -> pd.DataFrame:
-        from .joins import _canon_key_str
-        from .sketches import hash64
-
+    def tumbling_partials(t: pa.Table) -> pd.DataFrame:
         # unit-safe: normalize to µs before the int64 view (from_pandas
         # corpora arrive as timestamp[ns]; parquet corpora as timestamp[us])
         epoch = pc.cast(pc.cast(t[ts_col], pa.timestamp("us")), pa.int64())
@@ -70,17 +69,9 @@ def tumbling_window_agg(
         out = g.size().rename("n").reset_index()
         if value_col:
             out["sum_value"] = g[value_col].sum().to_numpy()
-        pair = pd.Series(_canon_key_str(out[key])).str.cat(
-            out["window_start"].astype(str), sep=":"
-        )
-        out["_kb"] = (
-            hash64(pair.to_numpy(dtype=object)) % np.uint64(64)
-        ).astype(np.int64)
         return out
 
-    partial.__name__ = "tumbling_partials"
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
+    def tumbling_merge(g: pd.DataFrame) -> pd.DataFrame:
         gg = g.groupby([key, "window_start"], sort=False)
         out = gg["n"].sum().reset_index()
         if value_col:
@@ -88,12 +79,8 @@ def tumbling_window_agg(
         out["n"] = out["n"].astype("int64")
         return out[out_cols]
 
-    merge.__name__ = "tumbling_merge"
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(merge, batch_format="pandas")
-    )
+    partials = ds.map_batches(tumbling_partials, batch_format="pyarrow")
+    return exchange(partials, [key, "window_start"], tumbling_merge)
 
 
 def sliding_window_agg(
@@ -107,28 +94,25 @@ def sliding_window_agg(
     window [w, w+window) with w a multiple of `slide_s` covering its
     timestamp — vectorized per-batch replication (np.repeat over the
     per-event window count, window_s/slide_s copies) COMBINED in-batch to
-    (key, window, n) partials, then the pair-hash bucketed merge (distinct
+    (key, window, n) partials, then an exchange keyed by the pair (distinct
     (key, window) groups scale with the corpus — a multi-key
     groupby().aggregate() is the CLAUDE.md sort-aggregate hazard). The
     shuffle carries one row per (block, key, window), never the replicated
     events."""
-    import numpy as np
-
     w_us = window_s * 1_000_000
     s_us = slide_s * 1_000_000
 
-    def explode_partial(t: pa.Table) -> pd.DataFrame:
-        from .joins import _canon_key_str
-        from .sketches import hash64
-
+    def sliding_window_partials(t: pa.Table) -> pd.DataFrame:
         empty = pd.DataFrame(
             {
                 key: pd.Series(dtype=object),
                 "window_start": pd.Series(dtype="int64"),
                 "n": pd.Series(dtype="int64"),
-                "_kb": pd.Series(dtype="int64"),
             }
         )
+        # a NULL-ts event lies in no window (the twin's unnest(range(NULL…))
+        # yields no rows)
+        t = t.filter(pc.is_valid(t[ts_col]))
         if t.num_rows == 0:
             return empty
         epoch = pc.cast(
@@ -154,29 +138,17 @@ def sliding_window_agg(
         )
         out = g.size().rename("n").reset_index()
         out["n"] = out["n"].astype("int64")
-        pair = pd.Series(_canon_key_str(out[key])).str.cat(
-            out["window_start"].astype(str), sep=":"
-        )
-        out["_kb"] = (
-            hash64(pair.to_numpy(dtype=object)) % np.uint64(64)
-        ).astype(np.int64)
         return out
 
-    explode_partial.__name__ = "sliding_window_partials"
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
+    def sliding_window_merge(g: pd.DataFrame) -> pd.DataFrame:
         out = (
             g.groupby([key, "window_start"], sort=False)["n"].sum().reset_index()
         )
         out["n"] = out["n"].astype("int64")
         return out[[key, "window_start", "n"]]
 
-    merge.__name__ = "sliding_window_merge"
-    return (
-        ds.map_batches(explode_partial, batch_format="pyarrow")
-        .groupby("_kb")
-        .map_groups(merge, batch_format="pandas")
-    )
+    partials = ds.map_batches(sliding_window_partials, batch_format="pyarrow")
+    return exchange(partials, [key, "window_start"], sliding_window_merge)
 
 
 class _SessionizeBucket:
@@ -186,7 +158,6 @@ class _SessionizeBucket:
         self.key = key
         self.ts_col = ts_col
         self.gap_s = gap_s
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([self.key, self.ts_col], kind="stable").reset_index(drop=True)
@@ -215,18 +186,12 @@ class _SessionizeBucket:
         return out
 
 
-def session_window_agg(ds, key: str, ts_col: str, gap_s: int, num_buckets: int = 64):
+def session_window_agg(ds, key: str, ts_col: str, gap_s: int):
     """Gap-based session windows per key: (key, session_start µs,
-    session_end µs, n). Hash-bucketed so one task sessionizes many keys
-    vectorized."""
-    from .conversation import _with_bucket
-
+    session_end µs, n). One keyed exchange, so one task sessionizes many
+    keys vectorized."""
     projected = ds.select_columns([key, ts_col])
-    return (
-        _with_bucket(projected, num_buckets, cols=(key,))
-        .groupby("bucket")
-        .map_groups(_SessionizeBucket(key, ts_col, gap_s), batch_format="pandas")
-    )
+    return exchange(projected, key, _SessionizeBucket(key, ts_col, gap_s))
 
 
 class _FunnelBucket:
@@ -241,7 +206,6 @@ class _FunnelBucket:
     def __init__(self, stages: list[str], user_col: str, type_col: str, ts_col: str):
         self.stages = list(stages)
         self.user_col, self.type_col, self.ts_col = user_col, type_col, ts_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         u, ty, ts = self.user_col, self.type_col, self.ts_col
@@ -272,7 +236,6 @@ def funnel_counts(
     user_col: str = "user_id",
     type_col: str = "event_type",
     ts_col: str = "ts",
-    num_buckets: int = 64,
 ):
     """Ordered-sequence funnel over an event stream: how many users performed
     stage₀, then stage₁ strictly after it, then stage₂ strictly after that…
@@ -281,13 +244,11 @@ def funnel_counts(
     operator for.
 
     Scale shape: project to 3 columns, pre-filter to the funnel's event
-    types at the read side of the shuffle, ONE bucketed hash shuffle
+    types at the read side of the shuffle, ONE exchange keyed by user
     co-locating each user's events, vectorized per-bucket pandas funnel,
     then a stages×buckets-row Sum reduce — the final table is len(stages)
     rows regardless of corpus size."""
     from ray.data.aggregate import Sum
-
-    from .conversation import _with_bucket
 
     wanted = pa.array(sorted(set(stages)), type=pa.string())
 
@@ -298,13 +259,7 @@ def funnel_counts(
     projected = ds.select_columns([user_col, type_col, ts_col]).map_batches(
         prefilter, batch_format="pyarrow"
     )
-    partials = (
-        _with_bucket(projected, num_buckets, cols=(user_col,))
-        .groupby("bucket")
-        .map_groups(
-            _FunnelBucket(stages, user_col, type_col, ts_col), batch_format="pandas"
-        )
-    )
+    partials = exchange(projected, user_col, _FunnelBucket(stages, user_col, type_col, ts_col))
     stage_names = list(stages)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -331,7 +286,6 @@ def sliding_window_distinct(
     ts_col: str,
     window_s: int,
     slide_s: int,
-    num_buckets: int = 256,
 ):
     """Per (key, sliding window): EXACT COUNT(DISTINCT val) — e.g. distinct
     active users per event_type per hopping window, the dashboard query
@@ -347,6 +301,7 @@ def sliding_window_distinct(
     s_us = slide_s * 1_000_000
 
     def explode(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[ts_col]))  # NULL ts: in no window
         if t.num_rows == 0:
             # np.repeat with a length-1 run_starts vs empty counts raises —
             # emit the typed empty table instead
@@ -388,7 +343,6 @@ def sliding_window_distinct(
         "_k",
         val,
         "n_distinct",
-        num_buckets=num_buckets,
     )
 
     def unpack(df: pd.DataFrame) -> pd.DataFrame:
@@ -422,7 +376,6 @@ class _SessionizeRowsBucket:
         self.key = key
         self.ts_col = ts_col
         self.gap_s = gap_s
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         us = _ts_us_float(df[self.ts_col])
@@ -437,20 +390,14 @@ class _SessionizeRowsBucket:
         return sub.reset_index(drop=True)
 
 
-def sessionize_events(ds, key: str, ts_col: str, gap_s: int, num_buckets: int = 64):
+def sessionize_events(ds, key: str, ts_col: str, gap_s: int):
     """Row-level sessionization: every event keeps its row, enriched with the
     start of its gap-based session → (key, ts_us, session_start). The
     enrichment dual of session_window_agg (which aggregates), feeding
-    per-session feature joins downstream. One bucketed key shuffle, fully
+    per-session feature joins downstream. One keyed exchange, fully
     vectorized per bucket; output volume = input volume."""
-    from .conversation import _with_bucket
-
     projected = ds.select_columns([key, ts_col])
-    return (
-        _with_bucket(projected, num_buckets, cols=(key,))
-        .groupby("bucket")
-        .map_groups(_SessionizeRowsBucket(key, ts_col, gap_s), batch_format="pandas")
-    )
+    return exchange(projected, key, _SessionizeRowsBucket(key, ts_col, gap_s))
 
 
 def user_growth(ds, user_col: str = "user_id", ts_col: str = "ts"):
@@ -526,7 +473,6 @@ class _RetentionBucket:
     def __init__(self, user_col: str, ts_col: str):
         self.user_col = user_col
         self.ts_col = ts_col
-        self.__name__ = type(self).__name__
 
     def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
         us = _ts_us_float(df[self.ts_col])
@@ -554,15 +500,13 @@ class _RetentionBucket:
         )
 
 
-def retention_cohorts(
-    ds, user_col: str = "user_id", ts_col: str = "ts", num_buckets: int = 64
-):
+def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts"):
     """Cohort retention triangle: for each signup cohort (a user's first
     active UTC day), how many of its users were active again `day_offset`
     days later → (cohort_date, day_offset, n_users); offset 0 is the cohort
     size. The product-analytics companion to `funnel_counts`.
 
-    Scale shape: project to 2 columns, ONE bucketed hash shuffle co-locating
+    Scale shape: project to 2 columns, ONE exchange keyed by user co-locating
     each user's events (a user's history is the unit of work — inherent to
     "first day" semantics), per-bucket vectorized dedup/first-day/offset
     partials, then a days²-bounded single-packed-key Sum reduce. The corpus
@@ -570,14 +514,8 @@ def retention_cohorts(
     triangle."""
     from ray.data.aggregate import Sum
 
-    from .conversation import _with_bucket
-
     projected = ds.select_columns([user_col, ts_col])
-    partials = (
-        _with_bucket(projected, num_buckets, cols=(user_col,))
-        .groupby("bucket")
-        .map_groups(_RetentionBucket(user_col, ts_col), batch_format="pandas")
-    )
+    partials = exchange(projected, user_col, _RetentionBucket(user_col, ts_col))
     reduced = partials.groupby("_pk").aggregate(Sum("_n", alias_name="n_users"))
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:

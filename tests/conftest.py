@@ -23,3 +23,15 @@ def ray_session():
     suppress_empty_shuffle_partition_warning()
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def force_buckets(monkeypatch):
+    """`force_buckets(n)` pins `exchange.bucket_count()` to n for the rest
+    of the test: every exchange planned afterwards uses n buckets."""
+    from events_validator_ray.stages import exchange
+
+    def force(n: int) -> None:
+        monkeypatch.setattr(exchange, "bucket_count", lambda: n)
+
+    return force

@@ -53,7 +53,7 @@ def _table(conv_ids, turns, roles, ts_us) -> pa.Table:
     )
 
 
-def test_hot_conversation_split_across_blocks_matches_reference(ray_session):
+def test_hot_conversation_split_across_blocks_matches_reference(ray_session, force_buckets):
     """A 64-row conversation spread over two blocks (32 rows each) is hot at
     chunk=10 and lands in 7 phase-1 slices; the rows equal
     ConversationChecker's and the DuckDB twin's."""
@@ -91,7 +91,8 @@ def test_hot_conversation_split_across_blocks_matches_reference(ray_session):
 
     n_rows, hot_set = cv.detect_skew(ds, chunk=10)
     assert (n_rows, hot_set) == (len(tbl), ["conv_big"])
-    phase1 = cv._phase1(ds, transcript_spec(), DEFAULT_RUN_TS, hot_set, 10, 4).take_all()
+    force_buckets(4)
+    phase1 = cv._phase1(ds, transcript_spec(), DEFAULT_RUN_TS, hot_set, 10).take_all()
     slices = {r["event_id"] for r in phase1 if r["status"] == "summary"}
     assert slices == {f"conv_big:{c}" for c in range(7)}
 
@@ -107,7 +108,7 @@ def test_hot_conversation_split_across_blocks_matches_reference(ray_session):
     assert "alt" in {k[2] for k in got}
 
 
-def test_no_hot_conversation_skips_phase2(ray_session, monkeypatch):
+def test_no_hot_conversation_skips_phase2(ray_session, monkeypatch, force_buckets):
     """No conversation of the sf0.001 corpus reaches 10,000 rows, so the
     path emits no summary row and never builds phase 2 — the gap-injected
     conversations (turn_idx += 1,000,000) included."""
@@ -124,7 +125,8 @@ def test_no_hot_conversation_skips_phase2(ray_session, monkeypatch):
     spec = transcript_spec()
     n_rows, hot = cv.detect_skew(ds)
     assert n_rows == len(tbl) and hot == []
-    phase1 = cv._phase1(ds, spec, DEFAULT_RUN_TS, hot, 10_000, 8)
+    force_buckets(8)
+    phase1 = cv._phase1(ds, spec, DEFAULT_RUN_TS, hot, 10_000)
     assert phase1.filter(expr="status != 'error'").count() == 0
 
     built = []

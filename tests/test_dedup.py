@@ -164,17 +164,19 @@ def test_simhash_bucket_pairs_bounds_group_size(ray_session):
     exactly 4 corpus-scale groups)."""
     import ray.data as rd
 
-    from events_validator_ray.stages.dedup import SimHashSignatures, add_pbucket
+    from events_validator_ray.stages.dedup import SimHashSignatures
+    from events_validator_ray.stages.exchange import BUCKET, _add_bucket
 
     rng = np.random.default_rng(3)
     vocab = np.array([f"w{i}" for i in range(500)])
     docs = [" ".join(rng.choice(vocab, size=20, replace=False)) for _ in range(400)]
     ds2 = rd.from_pandas(pd.DataFrame({"doc_id": range(len(docs)), "text": docs}))
     B = 16
+    # the (band, band_hash) exchange routing `_bucket_pairs` uses
     sig = ds2.map_batches(SimHashSignatures(), batch_format="pyarrow").map_batches(
-        lambda t: add_pbucket(t, B), batch_format="pyarrow"
+        lambda t: _add_bucket(t, ["band", "band_hash"], B), batch_format="pyarrow"
     )
-    counts = sig.to_pandas().groupby("pbucket").size()
+    counts = sig.to_pandas().groupby(BUCKET).size()
     total = counts.sum()
     assert len(counts) > B // 2  # buckets actually spread
     assert counts.max() / total < 3.0 / B

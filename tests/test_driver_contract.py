@@ -81,8 +81,9 @@ def test_entry_smoke(ray_session):
     assert {"event_id", "error_type", "status"} <= names
 
 
-def test_asof_join_matches_pandas_reference(ray_session):
+def test_asof_join_matches_pandas_reference(ray_session, force_buckets):
     """asof_join (bucketed merge_asof) vs a driver-side global merge_asof."""
+    force_buckets(7)
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -114,7 +115,6 @@ def test_asof_join_matches_pandas_reference(ray_session):
             rd.from_pandas(right).repartition(3),
             on="t",
             by="k",
-            num_buckets=7,
         )
         .to_pandas()
         .sort_values("lid")

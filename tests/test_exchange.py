@@ -1,0 +1,341 @@
+"""The keyed exchange (`stages/exchange.py`): every ported operator gives the
+same rows at any bucket count, even when a key arrives int64 in one block
+and float64-with-NaN in another; the bucket count comes from the cluster;
+and no module outside `exchange.py` builds its own hash-bucket shuffle."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+import events_validator_ray
+from events_validator_ray.stages import conversation as cv
+from events_validator_ray.stages import exchange
+
+BUCKET_COUNTS = (1, 7, 256)
+BASE_US = 1_704_067_200_000_000
+
+
+def _keyed(payload: str, seed: int, null_every: int = 5):
+    """Two blocks keyed by `k`: int64 in the first, float64 with NaN keys in
+    the second (the int64-with-nulls Arrow->pandas round trip)."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(seed)
+    a = pd.DataFrame(
+        {"k": rng.integers(0, 12, 40).astype("int64"), payload: np.arange(40, dtype="int64")}
+    )
+    kb = rng.integers(0, 12, 40).astype("float64")
+    kb[::null_every] = np.nan
+    b = pd.DataFrame({"k": kb, payload: np.arange(40, 80, dtype="int64")})
+    return rd.from_pandas([a, b])
+
+
+def _events():
+    """(k, v, x, ts) events over two blocks with the int64/float64 key
+    drift; `ts` spans a few hours with NULLs."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(7)
+    blocks = []
+    for i, kind in enumerate(("int64", "float64")):
+        n = 60
+        k = rng.integers(0, 6, n).astype(kind)
+        if kind == "float64":
+            k[::7] = np.nan
+        ts = pd.to_datetime(BASE_US + rng.integers(0, 6 * 3600, n) * 1_000_000, unit="us")
+        ts = pd.Series(ts).where(rng.random(n) > 0.1)
+        blocks.append(
+            pd.DataFrame(
+                {
+                    "k": k,
+                    "v": rng.integers(0, 9, n).astype("int64") + 100 * i,
+                    "x": rng.normal(size=n),
+                    "ts": ts,
+                }
+            )
+        )
+    return rd.from_pandas(blocks)
+
+
+def _transcripts(hot_rows: int = 0):
+    """Transcript rows over two blocks; with `hot_rows`, one conversation of
+    that many rows sits in the first block (gap, duplicate, disorder)."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(3)
+
+    def conv(cid, turns):
+        n = len(turns)
+        return pd.DataFrame(
+            {
+                "conv_id": cid,
+                "turn_idx": np.asarray(turns, dtype="int32"),
+                "role": [["user", "assistant"][t % 2] for t in turns],
+                "text": [f"t{t % 4}" if t % 5 else None for t in turns],
+                "tool": [None if t % 3 else "search" for t in turns],
+                "ts": pd.to_datetime(
+                    BASE_US + np.asarray(turns, dtype="int64") * 60_000_000, unit="us"
+                ),
+            }
+        )
+
+    first = [conv(f"c{i}", list(range(rng.integers(1, 7)))) for i in range(8)]
+    if hot_rows:
+        turns = list(range(hot_rows))
+        turns[9] = 10  # gap at 9 plus a duplicate of 10
+        big = conv("c_hot", turns)
+        big.loc[5, "ts"] = big.loc[5, "ts"] + pd.Timedelta(days=1)  # forward outlier
+        big.loc[14, "role"] = big.loc[13, "role"]  # alternation break
+        first.append(big)
+    second = [conv(f"c{i}", list(range(rng.integers(1, 7)))) for i in range(8, 14)]
+    return rd.from_pandas([pd.concat(first), pd.concat(second)])
+
+
+def _violation_log():
+    """A validation log over three days: error/valid rows, repeated event
+    ids across blocks, NULL timestamps."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(11)
+    blocks = []
+    for _ in range(2):
+        n = 80
+        ts = BASE_US + rng.integers(0, 3, n) * 86_400_000_000
+        tbl = pd.DataFrame(
+            {
+                "event_id": [f"e{i}" for i in rng.integers(0, 50, n)],
+                "status": np.where(rng.random(n) < 0.4, "error", "valid"),
+                "timestamp": pd.Series(pd.to_datetime(ts, unit="us")).where(
+                    rng.random(n) > 0.05
+                ),
+            }
+        )
+        blocks.append(tbl)
+    return rd.from_pandas(blocks)
+
+
+def _docs():
+    import ray.data as rd
+
+    texts = [
+        "the quick brown fox jumps over the lazy dog",
+        "a quick brown fox jumps over the lazy cat today",
+        "nothing shared here at all",
+        "the lazy dog sleeps while the quick brown fox jumps",
+        "lorem ipsum dolor sit amet",
+        "quick brown fox jumps over the lazy dog again",
+    ]
+    df = pd.DataFrame({"doc_id": np.arange(len(texts), dtype="int64"), "text": texts})
+    return rd.from_pandas([df.iloc[:3], df.iloc[3:]])
+
+
+def _joins(how):
+    from events_validator_ray.stages import joins
+
+    left, right = _keyed("lv", 1), _keyed("rv", 2, null_every=4)
+    if how == "full":
+        return joins.full_outer_join(left, right, on="k")
+    return joins.bucketed_hash_join(left, right, on="k", how=how)
+
+
+def _asof():
+    from events_validator_ray.stages.joins import asof_join
+
+    ev = _events()
+    left = ev.map_batches(lambda d: d.assign(t=d["v"]).drop(columns=["ts", "x"]), batch_format="pandas")
+    right = ev.map_batches(
+        lambda d: d.assign(t=d["v"] * 3, rx=d["x"]).drop(columns=["ts", "x", "v"])
+        .drop_duplicates(["k", "t"]),
+        batch_format="pandas",
+    )
+    return asof_join(left, right, on="t", by="k")
+
+
+def _range():
+    from events_validator_ray.stages.joins import range_join
+
+    ev = _events()
+    pts = ev.map_batches(lambda d: d[["k", "v"]], batch_format="pandas")
+    iv = ev.map_batches(
+        lambda d: pd.DataFrame({"k": d["k"], "lo": d["v"] - 2, "hi": d["v"] + 1}),
+        batch_format="pandas",
+    )
+    return range_join(pts, iv, on="k", point="v", lo="lo", hi="hi")
+
+
+def _conversation():
+    from events_validator_ray.spec import transcript_spec
+
+    ds = _transcripts(hot_rows=40)
+    assert cv.detect_skew(ds, 8)[1] == ["c_hot"]
+    return cv.conversation_violations(ds, transcript_spec(), chunk=8)
+
+
+def _ops():
+    from events_validator_ray.pipelines.report import daily_error_rate
+    from events_validator_ray.stages import assembly, sampling, sketches, text, windows
+
+    return {
+        "inner_join": lambda: _joins("inner"),
+        "left_join": lambda: _joins("left"),
+        "full_outer_join": lambda: _joins("full"),
+        "asof_join": _asof,
+        "range_join": _range,
+        "conversation_violations": _conversation,
+        "daily_error_rate": lambda: daily_error_rate(_violation_log()),
+        "distinct_count_per_key": lambda: assembly.distinct_count_per_key(
+            _events(), "k", "v", "n_distinct"
+        ),
+        "conversation_stats": lambda: assembly.conversation_stats(_transcripts()),
+        "bucketed_count_per_key": lambda: assembly.bucketed_count_per_key(_keyed("v", 4), "k", "n"),
+        "bucketed_distinct_values": lambda: assembly.bucketed_distinct_values(_keyed("v", 5), "k"),
+        "bucketed_reduce_per_key": lambda: assembly.bucketed_reduce_per_key(
+            _keyed("v", 6), "k", [("n", None, "size"), ("s", "v", "sum")], dropna=False
+        ),
+        "conversation_docs": lambda: assembly.conversation_docs(_transcripts()),
+        "turn_pairs": lambda: assembly.turn_pairs(_transcripts()),
+        "hll_count_per_key": lambda: sketches.hll_count_per_key(_events(), "k", "v", "n_est"),
+        "tdigest_quantile_per_key": lambda: sketches.tdigest_quantile_per_key(_events(), "k", "x"),
+        "grouped_quantiles": lambda: sampling.grouped_quantiles(_events(), "k", "v"),
+        "tumbling_window_agg": lambda: windows.tumbling_window_agg(_events(), "k", "ts", 3600, "v"),
+        "sliding_window_agg": lambda: windows.sliding_window_agg(_events(), "k", "ts", 7200, 3600),
+        "session_window_agg": lambda: windows.session_window_agg(_events(), "k", "ts", 1800),
+        "dup_spans": lambda: text.dup_spans(_docs(), k=3),
+        "tfidf_top_terms": lambda: text.tfidf_top_terms(_docs(), n_docs=6, broadcast_max_terms=0),
+    }
+
+
+def _cell(v):
+    if isinstance(v, (list, np.ndarray)):
+        return tuple(_cell(x) for x in v)
+    if v is None or pd.isna(v):
+        return None
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    return v
+
+
+def _rows(out) -> list:
+    df = out if isinstance(out, pd.DataFrame) else out.to_pandas()
+    cols = sorted(df.columns)
+    return sorted((tuple(_cell(v) for v in r) for r in df[cols].itertuples(index=False)), key=repr)
+
+
+@pytest.mark.parametrize("op", sorted(_ops()))
+def test_output_identical_at_every_bucket_count(ray_session, force_buckets, op):
+    build = _ops()[op]
+    got = []
+    for n in BUCKET_COUNTS:
+        force_buckets(n)
+        got.append(_rows(build()))
+    assert got[0], op
+    assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "full"])
+def test_joins_with_null_keys_match_duckdb(ray_session, force_buckets, how):
+    """NULL keys never match — not even each other — and FULL OUTER keeps
+    them from both sides; the DuckDB twin decides."""
+    import duckdb
+
+    force_buckets(7)
+    got = _rows(_joins(how))
+    l = _keyed("lv", 1).to_pandas()
+    r = _keyed("rv", 2, null_every=4).to_pandas()
+    kind = {"inner": "JOIN", "left": "LEFT JOIN", "full": "FULL OUTER JOIN"}[how]
+    key = "l.k AS k" if how != "full" else "coalesce(l.k, r.k) AS k"
+    want = duckdb.sql(f"SELECT {key}, lv, rv FROM l {kind} r ON l.k = r.k").df()
+    assert got == _rows(want)
+
+
+def test_bucket_count_is_four_per_cpu(ray_session):
+    import ray
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    assert exchange.bucket_count() == 4 * cpus == 16
+
+
+def test_canonical_key_hash_ignores_block_dtype():
+    h_int = exchange._column_hash(pd.Series([1, 5, 2**62 + 1], dtype="int64"))
+    h_float = exchange._column_hash(pd.Series([1.0, 5.0, np.nan]))
+    h_nullable = exchange._column_hash(pd.Series([1, 5, None], dtype="Int64"))
+    h_obj = exchange._column_hash(pd.Series([None, "x", np.nan], dtype=object))
+    assert (h_int[:2] == h_float[:2]).all() and (h_int[:2] == h_nullable[:2]).all()
+    # every NULL form lands in one bucket
+    assert h_float[2] == h_nullable[2] == h_obj[0] == h_obj[2]
+    t = pa.table({"k": pa.array([1, None, 5]), "s": ["a", "b", None]})
+    a = exchange._add_bucket(t, ["k", "s"], 7)[exchange.BUCKET].to_pylist()
+    b = exchange._add_bucket(t.to_pandas(), ["k", "s"], 7)[exchange.BUCKET].tolist()
+    assert a == b
+
+
+#: the only `map_groups` calls outside exchange.py: groupbys on a NATURAL
+#: key whose groups are the unit of work (cluster, IVF bucket, vector,
+#: stratum), plus the (day, kind) HLL merge of the approximate error rate
+NATURAL_KEY_SITES = {
+    ("stages/similarity.py", "semantic_dedup"),
+    ("stages/similarity.py", "knn_graph_ivf"),
+    ("stages/sampling.py", "stratified_sample"),
+    ("stages/sampling.py", "group_topk"),
+    ("pipelines/report.py", "_daily_error_rate_hll"),
+}
+
+
+def _calls(node, name):
+    return any(
+        isinstance(n, ast.Call)
+        and (getattr(n.func, "id", None) == name or getattr(n.func, "attr", None) == name)
+        for n in ast.walk(node)
+    )
+
+
+def test_no_hash_bucket_shuffle_outside_exchange():
+    """A `hash64(...) % n` (or any `% np.uint64(...)`) bucket expression, or
+    a `.map_groups(` call, anywhere but `stages/exchange.py` is a copy of
+    the exchange; route it through `exchange()` instead."""
+    root = pathlib.Path(events_validator_ray.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "stages/exchange.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod):
+                    if _calls(n.left, "hash64") or (
+                        isinstance(n.right, ast.Call) and getattr(n.right.func, "attr", None) == "uint64"
+                    ):
+                        found.append(f"{rel}:{n.lineno} bucket expression")
+                if (
+                    isinstance(n, ast.Call)
+                    and getattr(n.func, "attr", None) == "map_groups"
+                    and (rel, getattr(top, "name", "")) not in NATURAL_KEY_SITES
+                ):
+                    found.append(f"{rel}:{n.lineno} map_groups")
+    assert found == []
+
+
+def test_tdigest_merge_order_is_canonical(ray_session, force_buckets):
+    """The per-key digest merge sorts its partials, so reversing the block
+    order (which reverses the order the exchange delivers them) changes
+    nothing."""
+    import ray.data as rd
+
+    from events_validator_ray.stages.sketches import tdigest_quantile_per_key
+
+    rng = np.random.default_rng(9)
+    blocks = [
+        pd.DataFrame({"k": ["a"] * 300, "x": rng.lognormal(size=300) * (i + 1)})
+        for i in range(4)
+    ]
+    force_buckets(1)
+    fwd = tdigest_quantile_per_key(rd.from_pandas(blocks), "k", "x", delta=20.0).to_pandas()
+    rev = tdigest_quantile_per_key(rd.from_pandas(blocks[::-1]), "k", "x", delta=20.0).to_pandas()
+    pd.testing.assert_frame_equal(fwd, rev)

@@ -35,36 +35,35 @@ def _base_corpus() -> pd.DataFrame:
     return df
 
 
-def _statuses(ray_session, left_df, right_df):
+def _statuses(force_buckets, left_df, right_df):
     import ray.data as rd
 
     from events_validator_ray.stages.assembly import changed_conversations
 
-    out = changed_conversations(
-        rd.from_pandas(left_df), rd.from_pandas(right_df), num_buckets=4
-    ).take_all()
+    force_buckets(4)
+    out = changed_conversations(rd.from_pandas(left_df), rd.from_pandas(right_df)).take_all()
     return {r["conv_id"]: r["status"] for r in out}
 
 
-def test_snapshot_diff_detects_ts_change(ray_session):
+def test_snapshot_diff_detects_ts_change(ray_session, force_buckets):
     base = _base_corpus()
     right = base.copy()
     m = (right["conv_id"] == "conv_00000001") & (right["turn_idx"] == 1)
     right.loc[m, "ts"] = right.loc[m, "ts"] + pd.Timedelta(hours=2)
-    st = _statuses(ray_session, base, right)
+    st = _statuses(force_buckets, base, right)
     assert st == {"conv_00000001": "changed", "conv_00000002": "same"}
 
 
-def test_snapshot_diff_detects_tool_change(ray_session):
+def test_snapshot_diff_detects_tool_change(ray_session, force_buckets):
     base = _base_corpus()
     right = base.copy()
     m = (right["conv_id"] == "conv_00000001") & (right["turn_idx"] == 1)
     right.loc[m, "tool"] = "sneaky_tool"
-    st = _statuses(ray_session, base, right)
+    st = _statuses(force_buckets, base, right)
     assert st == {"conv_00000001": "changed", "conv_00000002": "same"}
 
 
-def test_snapshot_diff_detects_order_preserving_gap(ray_session):
+def test_snapshot_diff_detects_order_preserving_gap(ray_session, force_buckets):
     # 0,1,2 -> 0,1,1000002 keeps relative order and every role|text byte:
     # the export digest is identical, but the contiguity check's verdict
     # flips — the diff must say 'changed'
@@ -72,7 +71,7 @@ def test_snapshot_diff_detects_order_preserving_gap(ray_session):
     right = base.copy()
     m = (right["conv_id"] == "conv_00000001") & (right["turn_idx"] == 2)
     right.loc[m, "turn_idx"] = np.int32(1000002)
-    st = _statuses(ray_session, base, right)
+    st = _statuses(force_buckets, base, right)
     assert st == {"conv_00000001": "changed", "conv_00000002": "same"}
 
 
@@ -145,9 +144,10 @@ def _row_set(out_dir):
     )
 
 
-def test_merge_violations_gold_property(ray_session, tmp_path):
+def test_merge_violations_gold_property(ray_session, tmp_path, force_buckets):
     """merged view after an incremental run == a full revalidation of the
     new snapshot, row for row (violations AND valid-log rows)."""
+    force_buckets(4)
     import ray.data as rd
 
     from events_validator_ray.pipelines.validate_pipeline import (
@@ -173,7 +173,7 @@ def test_merge_violations_gold_property(ray_session, tmp_path):
     run_validation(new_dir, str(tmp_path / "full_out"), spec)  # ground truth
 
     diff = changed_conversations(
-        rd.read_parquet(old_dir), rd.read_parquet(new_dir), num_buckets=4
+        rd.read_parquet(old_dir), rd.read_parquet(new_dir)
     ).take_all()
     st = {r["conv_id"]: r["status"] for r in diff}
     assert st == {
@@ -217,7 +217,7 @@ def _special_row(conv, turn, role, text):
     )
 
 
-def test_snapshot_diff_detects_null_conv_change(ray_session):
+def test_snapshot_diff_detects_null_conv_change(ray_session, force_buckets):
     """Rows with NULL conv_id roll up under NULL_CONV_MARKER: editing one of
     them must surface as a 'changed' marker row, not vanish from the diff."""
     from events_validator_ray.stages.assembly import NULL_CONV_MARKER
@@ -228,16 +228,17 @@ def test_snapshot_diff_detects_null_conv_change(ray_session):
     )
     right = base.copy()
     right.loc[right["conv_id"].isna(), "text"] = "orphan-new"
-    st = _statuses(ray_session, base, right)
+    st = _statuses(force_buckets, base, right)
     assert st[NULL_CONV_MARKER] == "changed"
     assert st["conv_00000001"] == "same" and st["conv_00000002"] == "same"
 
 
-def test_incremental_loop_gold_property_with_null_rows(ray_session, tmp_path):
+def test_incremental_loop_gold_property_with_null_rows(ray_session, tmp_path, force_buckets):
     """The F2/F3/F4 scenarios end-to-end: a NULL-conv row whose text changes
     (only the marker can see it), and an untouched conversation containing a
     NULL-turn_idx row (event_id 'conv:null' keeps the conv prefix, so its
     base rows are carried, not dropped). merged == full revalidation."""
+    force_buckets(4)
     import ray.data as rd
 
     from events_validator_ray.pipelines.validate_pipeline import (
@@ -272,7 +273,7 @@ def test_incremental_loop_gold_property_with_null_rows(ray_session, tmp_path):
     st = {
         r["conv_id"]: r["status"]
         for r in changed_conversations(
-            rd.read_parquet(old_dir), rd.read_parquet(new_dir), num_buckets=4
+            rd.read_parquet(old_dir), rd.read_parquet(new_dir)
         ).take_all()
     }
     assert st == {
@@ -294,10 +295,11 @@ def test_incremental_loop_gold_property_with_null_rows(ray_session, tmp_path):
     assert merged == _row_set(str(tmp_path / "full_out"))
 
 
-def test_merge_retires_removed_null_rows(ray_session, tmp_path):
+def test_merge_retires_removed_null_rows(ray_session, tmp_path, force_buckets):
     """Marker status 'removed' (all NULL-conv rows gone, nothing else
     changed): the short-circuit merge with drop_null_rows=True retires the
     base log's null rows — merged == full rerun of the new snapshot."""
+    force_buckets(4)
     import ray.data as rd
 
     from events_validator_ray.pipelines.validate_pipeline import (
@@ -324,7 +326,7 @@ def test_merge_retires_removed_null_rows(ray_session, tmp_path):
     st = {
         r["conv_id"]: r["status"]
         for r in changed_conversations(
-            rd.read_parquet(old_dir), rd.read_parquet(new_dir), num_buckets=4
+            rd.read_parquet(old_dir), rd.read_parquet(new_dir)
         ).take_all()
     }
     assert st[NULL_CONV_MARKER] == "removed"
@@ -345,10 +347,11 @@ def test_merge_retires_removed_null_rows(ray_session, tmp_path):
     assert merged == _row_set(str(tmp_path / "full_out"))
 
 
-def test_loop_iterates_via_merged_log(ray_session, tmp_path):
+def test_loop_iterates_via_merged_log(ray_session, tmp_path, force_buckets):
     """Round 2's --merge-base points at round 1's INCREMENTAL run: the merge
     must read its violations_merged (the complete log), not its partial
     violations/ — and still equal a full revalidation."""
+    force_buckets(4)
     import ray.data as rd
 
     from events_validator_ray.pipelines.validate_pipeline import (
@@ -376,7 +379,7 @@ def test_loop_iterates_via_merged_log(ray_session, tmp_path):
         st = {
             r["conv_id"]: r["status"]
             for r in changed_conversations(
-                rd.read_parquet(old_snap), rd.read_parquet(new_snap), num_buckets=4
+                rd.read_parquet(old_snap), rd.read_parquet(new_snap)
             ).take_all()
         }
         only = {k for k, s in st.items() if s in ("added", "changed")}
@@ -496,10 +499,11 @@ def test_run_profile_matches_full_pipeline_and_resumes(ray_session, tmp_path):
     assert got4 == want  # content unchanged -> same profile
 
 
-def test_snapshot_diff_matches_naive_differ_randomized(ray_session):
+def test_snapshot_diff_matches_naive_differ_randomized(ray_session, force_buckets):
     """Property check: changed_conversations == a brute-force row-multiset
     differ, across randomized corpora with every edit class (text/role/tool/
     ts/turn edits, conv add/remove, NULL conv_id rows)."""
+    force_buckets(4)
     import ray.data as rd
 
     from events_validator_ray.stages.assembly import (
@@ -577,7 +581,7 @@ def test_snapshot_diff_matches_naive_differ_randomized(ray_session):
         got = {
             r["conv_id"]: r["status"]
             for r in changed_conversations(
-                rd.from_pandas(left), rd.from_pandas(right), num_buckets=4
+                rd.from_pandas(left), rd.from_pandas(right)
             ).take_all()
         }
         assert got == naive_diff(left, right), f"seed {seed}"

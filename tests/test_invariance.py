@@ -38,14 +38,16 @@ def test_scalar_invariant_under_repartition(ray_session, blocks):
     assert _multiset(base) == _multiset(repart)
 
 
-def test_conversation_invariant_under_repartition_and_buckets(ray_session):
+def test_conversation_invariant_under_repartition_and_buckets(ray_session, force_buckets):
     import ray.data as rd
 
     tdir = ensure_transcripts(0.001)
     spec = transcript_spec()
-    a = conversation_violations(rd.read_parquet(tdir), spec, num_buckets=64)
+    force_buckets(64)
+    a = conversation_violations(rd.read_parquet(tdir), spec)
+    force_buckets(3)
     b = conversation_violations(
-        rd.read_parquet(tdir).repartition(5, shuffle=True), spec, num_buckets=3
+        rd.read_parquet(tdir).repartition(5, shuffle=True), spec
     )
     assert _multiset(a) == _multiset(b)
 
@@ -72,7 +74,7 @@ def test_skew_detection_and_auto(ray_session):
     assert salted == whole
 
 
-def test_salted_bounds_group_size(ray_session):
+def test_salted_bounds_group_size(ray_session, force_buckets):
     """Structural skew guarantee: with salt chunk K, no phase-1 group of a
     hot conversation spans more than K distinct turn values (verified from
     the one path's summary rows)."""
@@ -90,7 +92,8 @@ def test_salted_bounds_group_size(ray_session):
     ds = rd.read_parquet(ensure_transcripts(0.001))
     _, hot = detect_skew(ds, K)
     assert hot
-    phase1 = _phase1(ds, transcript_spec(), DEFAULT_RUN_TS, hot, K, 8)
+    force_buckets(8)
+    phase1 = _phase1(ds, transcript_spec(), DEFAULT_RUN_TS, hot, K)
     sums = [
         parse_summary_payload(r["event_data"])
         for r in phase1.filter(expr="status == 'summary'").take_all()

@@ -10,15 +10,16 @@ from events_validator_ray.stages.joins import asof_join, bucketed_hash_join
 BIG = 2**61 + 12345  # not representable in float64 (would round)
 
 
-def test_bucketed_join_float_key_block_still_matches(ray_session):
+def test_bucketed_join_float_key_block_still_matches(ray_session, force_buckets):
     """A key column arriving float64 in one side (int64-with-nulls round
     trip) must land in the same bucket as the int64 side: '5' == '5.0'."""
+    force_buckets(8)
     import ray.data as rd
 
     left = pd.DataFrame({"k": np.array([1.0, 2.0, 5.0], dtype="float64"), "lv": [10, 20, 50]})
     right = pd.DataFrame({"k": np.array([1, 2, 5], dtype="int64"), "rv": [100, 200, 500]})
     got = (
-        bucketed_hash_join(rd.from_pandas(left), rd.from_pandas(right), on="k", num_buckets=8)
+        bucketed_hash_join(rd.from_pandas(left), rd.from_pandas(right), on="k")
         .to_pandas()
         .sort_values("lv")
         .reset_index(drop=True)
@@ -27,16 +28,17 @@ def test_bucketed_join_float_key_block_still_matches(ray_session):
     assert list(got["rv"]) == [100, 200, 500]
 
 
-def test_bucketed_left_join_preserves_big_ids(ray_session):
+def test_bucketed_left_join_preserves_big_ids(ray_session, force_buckets):
     """how='left' with missing matches must not degrade matched right-side
     int64 payloads through float64 (2^61-scale ids round-trip exactly)."""
+    force_buckets(4)
     import ray.data as rd
 
     left = pd.DataFrame({"k": [1, 2, 3], "lv": [10, 20, 30]})
     right = pd.DataFrame({"k": [1, 3], "big_id": [BIG, BIG + 7]})
     got = (
         bucketed_hash_join(
-            rd.from_pandas(left), rd.from_pandas(right), on="k", num_buckets=4, how="left"
+            rd.from_pandas(left), rd.from_pandas(right), on="k", how="left"
         )
         .to_pandas()
         .sort_values("lv")
@@ -48,8 +50,9 @@ def test_bucketed_left_join_preserves_big_ids(ray_session):
     assert pd.isna(by_k[2])
 
 
-def test_asof_join_preserves_big_ids(ray_session):
+def test_asof_join_preserves_big_ids(ray_session, force_buckets):
     """asof payload ids above 2^53 survive the tagged union + merge_asof."""
+    force_buckets(4)
     import ray.data as rd
 
     left = pd.DataFrame({"u": [1, 1, 2], "t": np.array([5, 9, 5], dtype="int64")})
@@ -57,7 +60,7 @@ def test_asof_join_preserves_big_ids(ray_session):
         {"u": [1, 1], "t": np.array([4, 8], dtype="int64"), "rid": [BIG, BIG + 1]}
     )
     got = (
-        asof_join(rd.from_pandas(left), rd.from_pandas(right), on="t", by="u", num_buckets=4)
+        asof_join(rd.from_pandas(left), rd.from_pandas(right), on="t", by="u")
         .to_pandas()
         .sort_values(["u", "t"])
         .reset_index(drop=True)
@@ -294,10 +297,11 @@ def test_grouped_quantiles_partition_invariant(ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_null_keys_never_equi_join(ray_session):
+def test_null_keys_never_equi_join(ray_session, force_buckets):
     """Round-3 ADVICE: SQL equi-joins/IN never match NULL keys, but pandas
     merge matches NaN==NaN — the bucketed paths must drop null-key rows so
     engine results match the DuckDB twins on null-bearing keys."""
+    force_buckets(4)
     import duckdb
     import ray.data as rd
 
@@ -308,7 +312,7 @@ def test_null_keys_never_equi_join(ray_session):
 
     # inner: null keys on either side never match
     got = (
-        bucketed_hash_join(rd.from_pandas(l), rd.from_pandas(r), on="k", num_buckets=4)
+        bucketed_hash_join(rd.from_pandas(l), rd.from_pandas(r), on="k")
         .to_pandas()
         .sort_values(["lv", "rv"])
         .reset_index(drop=True)
@@ -323,7 +327,7 @@ def test_null_keys_never_equi_join(ray_session):
     # left: left null-key rows survive unmatched; right nulls never attach
     got_l = (
         bucketed_hash_join(
-            rd.from_pandas(l), rd.from_pandas(r), on="k", num_buckets=4, how="left"
+            rd.from_pandas(l), rd.from_pandas(r), on="k", how="left"
         )
         .to_pandas()
         .sort_values(["lv"], kind="stable")
@@ -344,7 +348,7 @@ def test_null_keys_never_equi_join(ray_session):
 
     # semi: null keys never IN
     got_s = (
-        bloom_semi_join(rd.from_pandas(l), rd.from_pandas(r), on="k", num_buckets=4)
+        bloom_semi_join(rd.from_pandas(l), rd.from_pandas(r), on="k")
         .to_pandas()
         .sort_values("lv")
         .reset_index(drop=True)
@@ -358,7 +362,7 @@ def test_null_keys_never_equi_join(ray_session):
     lp = pd.DataFrame({"u": [1.0, None, 2.0], "t": [5, 5, 5], "lv": [1, 2, 3]})
     rp = pd.DataFrame({"u": [1.0, None, 2.0], "lo": [0, 0, 6], "hi": [9, 9, 9]})
     got_r = (
-        range_join(rd.from_pandas(lp), rd.from_pandas(rp), on="u", point="t", lo="lo", hi="hi", num_buckets=4)
+        range_join(rd.from_pandas(lp), rd.from_pandas(rp), on="u", point="t", lo="lo", hi="hi")
         .to_pandas()
         .sort_values("lv")
         .reset_index(drop=True)
@@ -369,10 +373,11 @@ def test_null_keys_never_equi_join(ray_session):
     assert got_r["lv"].tolist() == want_r["lv"].tolist()
 
 
-def test_bloom_anti_join_null_keys_and_fp_pressure(ray_session):
+def test_bloom_anti_join_null_keys_and_fp_pressure(ray_session, force_buckets):
     """NOT EXISTS semantics: NULL-key left rows are kept; a deliberately tiny
     Bloom (high false-positive rate) still yields the exact answer because
     hits go through the exact unmatched check."""
+    force_buckets(5)
     import duckdb
     import ray.data as rd
 
@@ -393,7 +398,6 @@ def test_bloom_anti_join_null_keys_and_fp_pressure(ray_session):
             rd.from_pandas(keys).repartition(2),
             on="k",
             n_bits_log2=8,  # tiny: forces false positives into the exact pass
-            num_buckets=5,
         )
         .to_pandas()
         .sort_values("id")

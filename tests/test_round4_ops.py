@@ -12,9 +12,10 @@ def _ds(df):
     return rd.from_pandas(df)
 
 
-def test_funnel_strict_order_and_ties(ray_session):
+def test_funnel_strict_order_and_ties(ray_session, force_buckets):
     """B before A never counts; B at the SAME ts as A never counts (strict >);
     the earliest qualifying event is what the next stage must beat."""
+    force_buckets(4)
     from events_validator_ray.stages.windows import funnel_counts
 
     t0 = pd.Timestamp("2024-01-01")
@@ -33,7 +34,7 @@ def test_funnel_strict_order_and_ties(ray_session):
     ]
     df = pd.DataFrame(rows, columns=["user_id", "event_type", "ts"])
     got = (
-        funnel_counts(_ds(df), stages=["A", "B", "C"], num_buckets=4)
+        funnel_counts(_ds(df), stages=["A", "B", "C"])
         .to_pandas()
         .sort_values("stage_idx")
         .reset_index(drop=True)
@@ -82,9 +83,10 @@ def test_ngram_topk_doc_boundary_and_ties(ray_session):
     assert list(got["n"]) == [2, 1]
 
 
-def test_conv_segments_null_ts_neither_breaks_nor_extends(ray_session):
+def test_conv_segments_null_ts_neither_breaks_nor_extends(ray_session, force_buckets):
     """A >gap hole bridged only by null-ts turns still splits; a conversation
     with no timestamps has 0 segments."""
+    force_buckets(4)
     from events_validator_ray.stages.assembly import conv_segments
 
     t0 = pd.Timestamp("2024-01-01")
@@ -99,7 +101,7 @@ def test_conv_segments_null_ts_neither_breaks_nor_extends(ray_session):
         }
     )
     got = (
-        conv_segments(_ds(df), gap_s=1800, num_buckets=4)
+        conv_segments(_ds(df), gap_s=1800)
         .to_pandas()
         .sort_values("conv_id")
         .reset_index(drop=True)
@@ -108,7 +110,8 @@ def test_conv_segments_null_ts_neither_breaks_nor_extends(ray_session):
     assert list(got["n_segments"]) == [2, 0]
 
 
-def test_role_transitions_skips_nulls_and_conv_boundaries(ray_session):
+def test_role_transitions_skips_nulls_and_conv_boundaries(ray_session, force_buckets):
+    force_buckets(4)
     from events_validator_ray.stages.assembly import role_transitions
 
     df = pd.DataFrame(
@@ -120,7 +123,7 @@ def test_role_transitions_skips_nulls_and_conv_boundaries(ray_session):
         }
     )
     got = (
-        role_transitions(_ds(df), num_buckets=4)
+        role_transitions(_ds(df))
         .to_pandas()
         .sort_values(["from_role", "to_role"])
         .reset_index(drop=True)
@@ -153,9 +156,10 @@ def _local_funnel(df: pd.DataFrame, stages):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_funnel_fuzz_vs_local(ray_session, seed):
+def test_funnel_fuzz_vs_local(ray_session, seed, force_buckets):
     """Randomized streams with ts ties, duplicate events and null
     timestamps: the distributed funnel equals the per-user reference."""
+    force_buckets(8)
     from events_validator_ray.stages.windows import funnel_counts
 
     rng = np.random.default_rng(seed)
@@ -172,7 +176,7 @@ def test_funnel_fuzz_vs_local(ray_session, seed):
         }
     )
     got = (
-        funnel_counts(_ds(df), stages=["A", "B", "C"], num_buckets=8)
+        funnel_counts(_ds(df), stages=["A", "B", "C"])
         .to_pandas()
         .sort_values("stage_idx")
     )
@@ -180,9 +184,10 @@ def test_funnel_fuzz_vs_local(ray_session, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_window_distinct_fuzz_vs_local(ray_session, seed):
+def test_window_distinct_fuzz_vs_local(ray_session, seed, force_buckets):
     """Randomized event streams: the skew-safe distinct reduction equals a
     local replicate-and-nunique reference."""
+    force_buckets(16)
     from events_validator_ray.stages.windows import sliding_window_distinct
 
     rng = np.random.default_rng(100 + seed)
@@ -203,7 +208,7 @@ def test_window_distinct_fuzz_vs_local(ray_session, seed):
     got = (
         sliding_window_distinct(
             _ds(df), key="event_type", val="user_id", ts_col="ts",
-            window_s=w_s, slide_s=s_s, num_buckets=16,
+            window_s=w_s, slide_s=s_s,
         )
         .to_pandas()
         .sort_values(["event_type", "window_start"])

@@ -13,15 +13,16 @@ def _ds(df):
     return rd.from_pandas(df)
 
 
-def test_full_outer_join_matches_and_padding(ray_session):
+def test_full_outer_join_matches_and_padding(ray_session, force_buckets):
     """Matched keys merge; keys on one side only NA-pad the other side's
     columns WITHOUT float-degrading int64 payloads."""
     from events_validator_ray.stages.joins import full_outer_join
 
     left = pd.DataFrame({"k": [1, 2, 3], "lv": [10, 20, 30]})
     right = pd.DataFrame({"k": [2, 3, 4], "rv": [200, 300, 400]})
+    force_buckets(4)
     got = (
-        full_outer_join(_ds(left), _ds(right), on="k", num_buckets=4)
+        full_outer_join(_ds(left), _ds(right), on="k")
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -36,20 +37,22 @@ def test_full_outer_join_matches_and_padding(ray_session):
     big = 2**62 + 7
     l2 = pd.DataFrame({"k": [1], "lv": [big]})
     r2 = pd.DataFrame({"k": [9], "rv": [big + 1]})
-    got2 = full_outer_join(_ds(l2), _ds(r2), on="k", num_buckets=2).to_pandas()
+    force_buckets(2)
+    got2 = full_outer_join(_ds(l2), _ds(r2), on="k").to_pandas()
     assert set(got2["k"]) == {1, 9}
     assert int(got2.loc[got2["k"] == 1, "lv"].iloc[0]) == big
     assert int(got2.loc[got2["k"] == 9, "rv"].iloc[0]) == big + 1
 
 
-def test_full_outer_join_null_keys_never_match(ray_session):
+def test_full_outer_join_null_keys_never_match(ray_session, force_buckets):
     """SQL semantics: NULL keys from BOTH sides survive as unmatched rows and
     never equi-match each other (pandas merge alone would match NaN == NaN)."""
+    force_buckets(4)
     from events_validator_ray.stages.joins import full_outer_join
 
     left = pd.DataFrame({"k": [1.0, None, None], "lv": [10, 11, 12]})
     right = pd.DataFrame({"k": [1.0, None], "rv": [100, 111]})
-    got = full_outer_join(_ds(left), _ds(right), on="k", num_buckets=4).to_pandas()
+    got = full_outer_join(_ds(left), _ds(right), on="k").to_pandas()
     # 1 matched row + 2 left-null rows + 1 right-null row
     assert len(got) == 4
     nulls = got[got["k"].isna()]
@@ -61,9 +64,10 @@ def test_full_outer_join_null_keys_never_match(ray_session):
     assert int(matched["lv"].iloc[0]) == 10 and int(matched["rv"].iloc[0]) == 100
 
 
-def test_retention_cohorts_small_reference(ray_session):
+def test_retention_cohorts_small_reference(ray_session, force_buckets):
     """Hand-checked triangle: cohort day 0 = first active day per user;
     duplicate (user, day) activity counts once."""
+    force_buckets(4)
     from events_validator_ray.stages.windows import retention_cohorts
 
     d = pd.Timestamp("2024-03-01")
@@ -78,7 +82,7 @@ def test_retention_cohorts_small_reference(ray_session):
     ]
     df = pd.DataFrame(rows, columns=["user_id", "ts"])
     got = (
-        retention_cohorts(_ds(df), num_buckets=4)
+        retention_cohorts(_ds(df))
         .to_pandas()
         .sort_values(["cohort_date", "day_offset"])
         .reset_index(drop=True)
@@ -93,10 +97,11 @@ def test_retention_cohorts_small_reference(ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_rolling_turn_chars_frame_and_ties(ray_session):
+def test_rolling_turn_chars_frame_and_ties(ray_session, force_buckets):
     """ROWS BETWEEN 2 PRECEDING AND CURRENT ROW per conversation in the
     stable order; NULL text counts as length 0; duplicated (conv, turn_idx)
     rows order by (text, role) tie-break."""
+    force_buckets(2)
     from events_validator_ray.stages.assembly import rolling_turn_chars
 
     df = pd.DataFrame(
@@ -109,7 +114,7 @@ def test_rolling_turn_chars_frame_and_ties(ray_session):
         }
     )
     got = (
-        rolling_turn_chars(_ds(df), window=3, num_buckets=2)
+        rolling_turn_chars(_ds(df), window=3)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "n_chars"])
         .reset_index(drop=True)
@@ -240,10 +245,11 @@ def test_cluster_purity_majority_and_ties(ray_session):
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-def test_full_outer_join_fuzz_vs_pandas(ray_session, seed):
+def test_full_outer_join_fuzz_vs_pandas(ray_session, seed, force_buckets):
     """Random keys incl. NULLs on both sides vs a local reference that
     implements SQL FULL OUTER semantics (non-null keys outer-merge; null-key
     rows pass through unmatched)."""
+    force_buckets(7)
     import ray.data as rd
 
     from events_validator_ray.stages.joins import full_outer_join
@@ -259,7 +265,7 @@ def test_full_outer_join_fuzz_vs_pandas(ray_session, seed):
     got = (
         full_outer_join(rd.from_pandas(left).repartition(5),
                         rd.from_pandas(right).repartition(3),
-                        on="k", num_buckets=7)
+                        on="k")
         .to_pandas()
     )
     l_nn, r_nn = left[left["k"].notna()], right[right["k"].notna()]
@@ -277,7 +283,8 @@ def test_full_outer_join_fuzz_vs_pandas(ray_session, seed):
 
 
 @pytest.mark.parametrize("seed", [5, 23])
-def test_retention_cohorts_fuzz_vs_local(ray_session, seed):
+def test_retention_cohorts_fuzz_vs_local(ray_session, seed, force_buckets):
+    force_buckets(8)
     import ray.data as rd
 
     from events_validator_ray.stages.windows import retention_cohorts
@@ -292,7 +299,7 @@ def test_retention_cohorts_fuzz_vs_local(ray_session, seed):
         }
     )
     got = (
-        retention_cohorts(rd.from_pandas(df).repartition(6), num_buckets=8)
+        retention_cohorts(rd.from_pandas(df).repartition(6))
         .to_pandas()
         .sort_values(["cohort_date", "day_offset"])
         .reset_index(drop=True)
@@ -319,7 +326,8 @@ def test_retention_cohorts_fuzz_vs_local(ray_session, seed):
 
 
 @pytest.mark.parametrize("seed", [7])
-def test_rolling_turn_chars_fuzz_vs_local(ray_session, seed):
+def test_rolling_turn_chars_fuzz_vs_local(ray_session, seed, force_buckets):
+    force_buckets(8)
     import ray.data as rd
 
     from events_validator_ray.stages.assembly import rolling_turn_chars
@@ -338,7 +346,7 @@ def test_rolling_turn_chars_fuzz_vs_local(ray_session, seed):
         }
     )
     got = (
-        rolling_turn_chars(rd.from_pandas(df).repartition(5), window=3, num_buckets=8)
+        rolling_turn_chars(rd.from_pandas(df).repartition(5), window=3)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx", "n_chars", "roll_chars"])
         .reset_index(drop=True)

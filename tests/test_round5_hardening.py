@@ -593,6 +593,32 @@ def test_sliding_windows_empty_block(ray_session):
     assert out2.count() == 4
 
 
+def test_sliding_windows_null_ts(ray_session):
+    """A NULL-ts event lies in no window — the SQL twin's
+    unnest(range(NULL, ...)) yields no rows — instead of crashing the
+    replication with a garbage window count."""
+    import ray.data as rd
+
+    from events_validator_ray.stages.windows import (
+        sliding_window_agg,
+        sliding_window_distinct,
+    )
+
+    base = pd.Timestamp("2024-01-01")
+    df = pd.DataFrame(
+        {"user_id": [1, 2, 3], "event_type": ["a", "b", "a"], "ts": [base, base, pd.NaT]}
+    )
+    out = sliding_window_agg(
+        rd.from_pandas(df), key="user_id", ts_col="ts", window_s=86400, slide_s=43200
+    ).to_pandas()
+    assert sorted(out["user_id"].unique()) == [1, 2] and out["n"].sum() == 4
+    out2 = sliding_window_distinct(
+        rd.from_pandas(df), key="event_type", val="user_id", ts_col="ts",
+        window_s=86400, slide_s=43200,
+    ).to_pandas()
+    assert out2["n_distinct"].sum() == 4
+
+
 def test_validate_regex_on_list_column():
     """A regex rule over a list column validates via JS toString semantics
     (the oracle's js_tostring) instead of crashing the Arrow cast."""
@@ -819,9 +845,10 @@ def test_resume_rebuilds_profile_on_plan_change(tmp_path, ray_session):
     assert cols2 == {"turn_idx"}  # ONLY the new plan's column
 
 
-def test_bucketed_reduce_composite_key(ray_session):
+def test_bucketed_reduce_composite_key(ray_session, force_buckets):
     """bucketed_reduce_per_key with a list key must equal a pandas
     groupby([k1, k2]) reduce — the q_asof_join right-side dedup shape."""
+    force_buckets(8)
     import numpy as np
     import pandas as pd
     import ray
@@ -839,7 +866,7 @@ def test_bucketed_reduce_composite_key(ray_session):
     ds = ray.data.from_pandas(df).repartition(7)
     got = (
         bucketed_reduce_per_key(
-            ds, ["user_id", "tsu"], [("view_event_id", "event_id", "max")], num_buckets=8
+            ds, ["user_id", "tsu"], [("view_event_id", "event_id", "max")]
         )
         .to_pandas()
         .sort_values(["user_id", "tsu"])

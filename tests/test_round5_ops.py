@@ -574,10 +574,11 @@ def test_quantile_filter_hash_int_beyond_2p53_raises(ray_session):
         )
 
 
-def test_turn_reindex_matches_sql_window(ray_session):
+def test_turn_reindex_matches_sql_window(ray_session, force_buckets):
     """Canonical turn-order repair vs the ROW_NUMBER() twin on a frame that
     plants every hazard the synthetic corpus has: out-of-order ts, NULL ts,
     duplicated (conv_id, turn_idx), NULL role/text, and full-key ties."""
+    force_buckets(4)
     import duckdb
     import ray.data as rd
 
@@ -603,7 +604,7 @@ def test_turn_reindex_matches_sql_window(ray_session):
     df["tool"] = None
 
     got = (
-        turn_reindex(rd.from_pandas(df).repartition(3), num_buckets=4)
+        turn_reindex(rd.from_pandas(df).repartition(3))
         .to_pandas()
         .sort_values(["conv_id", "new_turn_idx"])
         .reset_index(drop=True)
@@ -627,9 +628,10 @@ def test_turn_reindex_matches_sql_window(ray_session):
         assert sorted(g["new_turn_idx"]) == list(range(len(g)))
 
 
-def test_changed_conversations_all_statuses(ray_session):
+def test_changed_conversations_all_statuses(ray_session, force_buckets):
     """Snapshot diff classifies every case: same / changed (text edit,
     turn added, turn removed) / removed (conv gone) / added (new conv)."""
+    force_buckets(4)
     import ray.data as rd
 
     from events_validator_ray.stages.assembly import changed_conversations
@@ -665,7 +667,6 @@ def test_changed_conversations_all_statuses(ray_session):
         changed_conversations(
             rd.from_pandas(left).repartition(2),
             rd.from_pandas(right).repartition(3),
-            num_buckets=4,
         )
         .to_pandas()
         .set_index("conv_id")["status"]
@@ -748,11 +749,12 @@ def _dupspan_bruteforce(docs, k=5):
     return out
 
 
-def test_dup_spans_randomized_vs_bruteforce(ray_session):
+def test_dup_spans_randomized_vs_bruteforce(ray_session, force_buckets):
     """dup_spans (gram-bucket cross-doc filter + doc-bucket interval union)
     vs the row-at-a-time reference on a randomized corpus with planted
     overlaps, internal repeats (must NOT count: cross-doc only), short docs,
     empties, and nulls."""
+    force_buckets(8)
     import ray.data as rd
 
     from events_validator_ray.stages.text import dup_spans
@@ -775,7 +777,7 @@ def test_dup_spans_randomized_vs_bruteforce(ray_session):
     expect = _dupspan_bruteforce(docs)
 
     df = pd.DataFrame(docs, columns=["doc_id", "text"])
-    out = dup_spans(rd.from_pandas(df).repartition(6), k=5, num_buckets=8).to_pandas()
+    out = dup_spans(rd.from_pandas(df).repartition(6), k=5).to_pandas()
     got = {
         int(r.doc_id): (int(r.n_dup_spans), int(r.n_dup_tokens))
         for r in out.itertuples()

@@ -354,7 +354,8 @@ def test_multimodal_real_codec_paths(ray_session):
         DecodeImage(allow_fake=False)(junk)
 
 
-def test_tfidf_broadcast_and_bucketed_paths_equal(docs_ds):
+def test_tfidf_broadcast_and_bucketed_paths_equal(docs_ds, force_buckets):
+    force_buckets(5)
     from events_validator_ray.stages.text import tfidf_top_terms
 
     n = docs_ds.count()
@@ -365,7 +366,7 @@ def test_tfidf_broadcast_and_bucketed_paths_equal(docs_ds):
         .reset_index(drop=True)
     )
     bucketed = (
-        tfidf_top_terms(docs_ds, n_docs=n, broadcast_max_terms=0, num_buckets=5)
+        tfidf_top_terms(docs_ds, n_docs=n, broadcast_max_terms=0)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
