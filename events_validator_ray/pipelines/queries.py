@@ -3008,18 +3008,14 @@ def q_pivot_event_types(sf_dir: str):
     other/NULL catch-all (stages/reshape.py:pivot_counts — vectorized one-hot
     with a per-batch combiner, one single-key groupby)."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     from ..stages.reshape import pivot_counts
+    from ..stages.windows import utc_day
 
     ev = _read_table(sf_dir, "events", columns=["ts", "event_type"])
 
     def add_date(t: pa.Table) -> pa.Table:
-        d = pc.coalesce(
-            pc.strftime(pc.cast(t["ts"], pa.timestamp("us")), format="%Y-%m-%d"),
-            "(null)",
-        )
-        return pa.table({"date_utc": d, "event_type": t["event_type"]})
+        return pa.table({"date_utc": utc_day(t["ts"]), "event_type": t["event_type"]})
 
     add_date.__name__ = "add_date_utc"
     return pivot_counts(
@@ -3151,14 +3147,12 @@ def _events_day_user_pairs(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    from ..stages.windows import utc_day
+
     ev = _read_table(sf_dir, "events", columns=["ts", "user_id"])
 
     def add_date(t: pa.Table) -> pa.Table:
-        d = pc.coalesce(
-            pc.strftime(pc.cast(t["ts"], pa.timestamp("us")), format="%Y-%m-%d"),
-            "(null)",
-        )
-        out = pa.table({"date_utc": d, "user_id": t["user_id"]})
+        out = pa.table({"date_utc": utc_day(t["ts"]), "user_id": t["user_id"]})
         return out.filter(pc.is_valid(out["user_id"]))
 
     add_date.__name__ = "day_user_pairs"
@@ -3198,14 +3192,12 @@ def _day_type_cells(sf_dir: str):
     import pyarrow.compute as pc
 
     from ..stages.assembly import bucketed_count_per_key
+    from ..stages.windows import utc_day
 
     ev = _read_table(sf_dir, "events", columns=["ts", "event_type"])
 
     def day_type_key(t: pa.Table) -> pa.Table:
-        d = pc.coalesce(
-            pc.strftime(pc.cast(t["ts"], pa.timestamp("us")), format="%Y-%m-%d"),
-            "(null)",
-        )
+        d = utc_day(t["ts"])
         et = pc.coalesce(t["event_type"], "(null)")
         return pa.table({"_dt": pc.binary_join_element_wise(d, et, "|")})
 
@@ -3326,18 +3318,14 @@ def q_tdigest_value_by_day(sf_dir: str):
     quantile plane at 10^12 rows. No SQL twin by design (approx); tests pin
     both quantiles against DuckDB's exact quantile_cont within 5%."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     from ..stages.sketches import tdigest_quantile_per_key
+    from ..stages.windows import utc_day
 
     ev = _read_table(sf_dir, "events", columns=["ts", "value"])
 
     def add_date(t: pa.Table) -> pa.Table:
-        d = pc.coalesce(
-            pc.strftime(pc.cast(t["ts"], pa.timestamp("us")), format="%Y-%m-%d"),
-            "(null)",
-        )
-        return pa.table({"date_utc": d, "value": t["value"]})
+        return pa.table({"date_utc": utc_day(t["ts"]), "value": t["value"]})
 
     add_date.__name__ = "day_value_pairs"
     return tdigest_quantile_per_key(

@@ -20,33 +20,62 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.windows import utc_day
 
-#: sentinel for rows whose timestamp is NULL — a real string key keeps the
-#: group joinable (SQL NULL keys don't equi-join; pandas/Ray group them
-#: inconsistently)
-NULL_DATE = "(null)"
+#: partial-count rows the driver buffers before folding them into its
+#: running sum: driver memory stays within the output plus one window
+FOLD_ROWS = 65_536
 
 
 def _with_date(ds):
     def add_date(t: pa.Table) -> pa.Table:
-        d = pc.fill_null(pc.strftime(t["timestamp"], format="%Y-%m-%d"), NULL_DATE)
-        return t.append_column("date_utc", d)
+        return t.append_column("date_utc", utc_day(t["timestamp"]))
 
     return ds.map_batches(add_date, batch_format="pyarrow")
+
+
+def _sum_counts(parts: list[pa.Table], keys: list[str], n: str) -> pa.Table:
+    t = pa.concat_tables(parts, promote_options="default")
+    return t.group_by(keys, use_threads=False).aggregate([(n, "sum")]).select(
+        [*keys, f"{n}_sum"]
+    ).rename_columns([*keys, n])
+
+
+def _error_counts(ds, keys: list[str], n: str, order, k: int | None = None):
+    """Error rows per ``keys``, sorted by ``order`` and cut to the first
+    ``k``, with no Ray barrier: the cardinality is bounded (days × fields,
+    fields × error types), so each block counts its own errors with Arrow
+    ``group_by`` and sends at most one row per key (*DS2*, ICDE 2021), and
+    the driver folds the partials into a running sum every FOLD_ROWS rows as
+    they stream in. The pull is Σ per-block distinct keys. Returns a Dataset
+    of (*keys, n); an empty or all-valid log gives a typed empty one."""
+    import ray.data as rd
+
+    def count_block(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["status"], "error"))
+        c = t.group_by(keys, use_threads=False).aggregate([([], "count_all")])
+        return c.select([*keys, "count_all"]).rename_columns([*keys, n])
+
+    acc, window, rows = [], [], 0
+    parts = ds.map_batches(count_block, batch_format="pyarrow", batch_size=None)
+    for part in parts.iter_batches(batch_size=None, batch_format="pyarrow"):
+        window.append(part)
+        rows += part.num_rows
+        if rows >= FOLD_ROWS:
+            acc, window, rows = [_sum_counts(acc + window, keys, n)], [], 0
+    if not acc and not window:  # no block at all: the empty log's schema
+        empty = {c: pa.array([], pa.string()) for c in keys}
+        window = [pa.table({**empty, n: pa.array([], pa.int64())})]
+    out = _sum_counts(acc + window, keys, n).sort_by(order)
+    return rd.from_arrow(out if k is None else out.slice(0, k))
 
 
 def failures_by_day(ds, dim: str = "field"):
     """Failures by day × dimension (default: the violated field; the reference
     uses event_name as its dimension, validation_report.py:110-116), sorted by
-    day. Returns a Dataset with (date_utc, {dim}, n_failures)."""
-    from ray.data.aggregate import Count
-
-    return (
-        _with_date(ds.filter(expr="status == 'error'"))
-        .groupby(["date_utc", dim])
-        .aggregate(Count(alias_name="n_failures"))
-        .sort("date_utc")
-    )
+    (day, dimension). Returns a Dataset with (date_utc, {dim}, n_failures)."""
+    order = [("date_utc", "ascending"), (dim, "ascending")]
+    return _error_counts(_with_date(ds), ["date_utc", dim], "n_failures", order)
 
 
 def daily_error_rate(ds, approx: bool = False, hll_p: int = 14):
@@ -249,14 +278,7 @@ def unique_event_names(ds):
 def worst_offenders(ds, k: int = 20):
     """Top-k (field, error_type) pairs by violation count — 'worst partitions'
     style report view (SURVEY.md §2.6 O5)."""
-    from ray.data.aggregate import Count
-
-    return (
-        ds.filter(expr="status == 'error'")
-        .groupby(["field", "error_type"])
-        .aggregate(Count(alias_name="n"))
-        # deterministic top-k: ties broken on (field, error_type) so the
-        # LIMIT boundary is engine-independent (shares the DuckDB oracle)
-        .sort(["n", "field", "error_type"], descending=[True, False, False])
-        .limit(k)
-    )
+    # deterministic top-k: ties broken on (field, error_type) so the LIMIT
+    # boundary is engine-independent (shares the DuckDB oracle)
+    order = [("n", "descending"), ("field", "ascending"), ("error_type", "ascending")]
+    return _error_counts(ds, ["field", "error_type"], "n", order, k)

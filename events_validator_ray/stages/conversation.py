@@ -486,10 +486,17 @@ class BucketChecker:
             info = am.groupby("_g", sort=False).agg(
                 hit=("_hit", "any"), mturn=("turn_idx", "first")
             )
-            # min over NON-NULL roles only (object-dtype min chokes on
-            # NaN/str mixes; groups that are all-null stay absent -> None)
-            nn = am.dropna(subset=["role"])
-            min_role = nn.groupby("_g", sort=False)["role"].min().rename("min_role")
+            # min over NON-NULL roles only, taken on sorted factorize codes:
+            # an object-dtype groupby min falls back to pandas' per-group
+            # Python loop; groups that are all-null stay absent -> None
+            rcodes, rvals = pd.factorize(am["role"], sort=True)
+            nn = rcodes >= 0
+            min_code = pd.Series(rcodes[nn]).groupby(am["_g"].to_numpy()[nn], sort=False).min()
+            min_role = pd.Series(
+                np.asarray(rvals, dtype=object)[min_code.to_numpy()],
+                index=min_code.index,
+                name="min_role",
+            )
             info = info.join(min_role).reset_index()
             info["min_role"] = info["min_role"].where(info["min_role"].notna(), None)
             info_hot = hot_of(info["_g"])
@@ -660,7 +667,7 @@ def conversation_violations(
 
     n_rows, hot = detect_skew(ds, chunk)
     if not n_rows:
-        # an empty map_groups output carries no schema
+        # an empty exchange output carries no schema
         return rd.from_arrow(VIOLATION_SCHEMA.empty_table())
     phase1 = _phase1(ds, spec, run_ts, hot, chunk)
     if not hot:

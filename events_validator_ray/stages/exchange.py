@@ -9,10 +9,14 @@ as combine → bucket → reduce:
   keys share a bucket whatever dtype their block carries them in: an int64
   key and the same key as an integral float64 (the int64-with-nulls
   Arrow->pandas round trip) hash alike, and every NULL form hashes alike.
-- ``groupby(bucket).map_groups(reduce_fn)``: one call holds every row of
-  the keys its bucket owns, thousands of keys per call, vectorized. A
-  ``groupby(key).aggregate()`` instead pays Ray's sort-aggregate cost per
-  GROUP (BASELINE.md addendum: 28 s at 2k groups, ~1070 s at 592k).
+- A range-partitioned sort on the bucket column with the boundaries
+  given (``1 .. n-1``: the bucket ids are known, so there is no sampling
+  pass, unlike ``groupby(bucket).map_groups``) puts each bucket in one
+  block, and ``reduce_fn`` runs once per non-empty block: one call holds
+  every row of the keys its bucket owns, thousands of keys per call,
+  vectorized. A ``groupby(key).aggregate()`` instead pays Ray's
+  sort-aggregate cost per GROUP (BASELINE.md addendum: 28 s at 2k groups,
+  ~1070 s at 592k).
 
 The bucket count is ``bucket_count()`` = 4 × the session's CPUs, read once
 on the driver when the plan is built (blocks hashed with different counts
@@ -103,14 +107,18 @@ def exchange(ds, key, reduce_fn, combine_fn=None, batch_format="pandas"):
         return _add_bucket(batch, keys, n)
 
     def reduce(g):
+        if len(g) == 0:  # a bucket no key landed in
+            return
         if isinstance(g, pa.Table):
-            return reduce_fn(g.drop_columns([BUCKET]) if BUCKET in g.column_names else g)
-        return reduce_fn(g.drop(columns=[BUCKET], errors="ignore"))
+            yield reduce_fn(g.drop_columns([BUCKET]))
+        else:
+            yield reduce_fn(g.drop(columns=[BUCKET]))
 
     route.__name__ = getattr(combine_fn, "__name__", "route") + "_to_bucket"
     reduce.__name__ = getattr(reduce_fn, "__name__", type(reduce_fn).__name__)
     return (
         ds.map_batches(route, batch_format="pandas" if combine_fn else "pyarrow")
-        .groupby(BUCKET)
-        .map_groups(reduce, batch_format=batch_format)
+        # at least one boundary: with none, Ray samples its own
+        .sort(BUCKET, boundaries=list(range(1, max(n, 2))))
+        .map_batches(reduce, batch_size=None, batch_format=batch_format)
     )

@@ -726,14 +726,12 @@ def len_drift_days(ds) -> pd.DataFrame:
     (bin = min(len // 32, 15); NULL text → -1); one bucketed count over a
     day|bin key; cells = days × 17, bounded at any corpus size."""
     from .assembly import bucketed_count_per_key
+    from .windows import utc_day
 
     sub = ds.select_columns(["ts", "text"])
 
     def day_bin_key(t: pa.Table) -> pa.Table:
-        d = pc.coalesce(
-            pc.strftime(pc.cast(t["ts"], pa.timestamp("us")), format="%Y-%m-%d"),
-            "(null)",
-        )
+        d = utc_day(t["ts"])
         # NULL text → NaN after to_pandas; floordiv/clip propagate it and the
         # fillna(-1) lands the NULL bin — all vectorized, no python rows
         ln = pc.utf8_length(t["text"]).to_pandas()

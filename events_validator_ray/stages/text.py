@@ -700,7 +700,7 @@ def _argmax_per_doc(df: pd.DataFrame, id_col: str) -> pd.DataFrame:
     (the SQL twin's ORDER BY score DESC, term ASC). Vectorized lexsort."""
     if not len(df):
         # np.r_[True, empty] has length 1 vs order's 0 — guard here so every
-        # caller (including map_groups finals) survives empty frames
+        # caller (including per-bucket exchange finals) survives empty frames
         return pd.DataFrame(
             {
                 id_col: pd.Series(dtype="int64"),

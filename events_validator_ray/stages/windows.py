@@ -22,6 +22,19 @@ import pyarrow.compute as pc
 
 from .exchange import exchange
 
+#: day string of a NULL timestamp — a real string key keeps the group
+#: joinable (SQL NULL keys don't equi-join; pandas/Ray group them
+#: inconsistently); the SQL twins spell it COALESCE(strftime(..), '(null)')
+NULL_DATE = "(null)"
+
+
+def utc_day(ts) -> pa.Array:
+    """'YYYY-MM-DD' of each timestamp (any unit, naive or UTC), NULL_DATE for
+    NULL. Cast through date32 rather than ``pc.strftime``: ~30x cheaper, and
+    the same strings as DuckDB ``strftime(ts, '%Y-%m-%d')`` before 1970 (the
+    date cast floors) and for years 1 and 9999."""
+    return pc.fill_null(pc.cast(pc.cast(ts, pa.date32()), pa.string()), NULL_DATE)
+
 
 def _ts_us_float(series: pd.Series) -> pd.Series:
     """Epoch-µs as float64 with NaN for NaT — unit-safe for ns and us

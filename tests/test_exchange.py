@@ -295,6 +295,42 @@ def _calls(node, name):
     )
 
 
+def test_mostly_empty_buckets_call_reduce_once_per_bucket(ray_session, force_buckets):
+    """3 keys at 256 buckets: the sample-free range partition gives each
+    bucket its own block, so `reduce_fn` runs once per NON-empty bucket,
+    with every row of that bucket's keys, and never on an empty one."""
+    import ray.data as rd
+
+    df = pd.DataFrame({"k": ["alpha", "beta", "gamma"] * 30, "v": np.arange(90)})
+    bucket_of = exchange._add_bucket(df, ["k"], 256).groupby("k")[exchange.BUCKET].first()
+    want = sorted(",".join(sorted(g.index)) for _, g in bucket_of.groupby(bucket_of))
+
+    def reduce(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"keys": [",".join(sorted(set(g["k"])))], "rows": [len(g)]})
+
+    force_buckets(256)
+    calls = exchange.exchange(rd.from_pandas([df.iloc[:40], df.iloc[40:]]), "k", reduce).to_pandas()
+    assert sorted(calls["keys"]) == want
+    assert calls["rows"].sum() == 90
+
+
+@pytest.mark.parametrize("combine", [False, True])
+def test_empty_input_gives_empty_output(ray_session, force_buckets, combine):
+    """An empty block, or no block at all, runs no reduce and gives no rows."""
+    import ray.data as rd
+
+    force_buckets(7)
+    ds = rd.from_pandas(pd.DataFrame({"k": pd.Series([], dtype="int64"), "v": pd.Series([], dtype="int64")}))
+    out = exchange.exchange(
+        ds,
+        "k",
+        lambda g: g.groupby("k", sort=False, as_index=False)["v"].sum(),
+        combine_fn=(lambda b: b) if combine else None,
+    )
+    assert out.count() == 0
+    assert exchange.exchange(ds.limit(0), "k", lambda g: g).count() == 0
+
+
 def test_no_hash_bucket_shuffle_outside_exchange():
     """A `hash64(...) % n` (or any `% np.uint64(...)`) bucket expression, or
     a `.map_groups(` call, anywhere but `stages/exchange.py` is a copy of
@@ -339,3 +375,28 @@ def test_tdigest_merge_order_is_canonical(ray_session, force_buckets):
     fwd = tdigest_quantile_per_key(rd.from_pandas(blocks), "k", "x", delta=20.0).to_pandas()
     rev = tdigest_quantile_per_key(rd.from_pandas(blocks[::-1]), "k", "x", delta=20.0).to_pandas()
     pd.testing.assert_frame_equal(fwd, rev)
+
+
+#: the only Ray barrier the report plane keeps: the approximate error
+#: rate's (day, kind) HLL merge (a natural key)
+REPORT_BARRIER_SITES = {"_daily_error_rate_hll"}
+
+
+def test_report_plane_has_no_ray_barrier():
+    """`pipelines/report.py` counts bounded-cardinality keys per block and
+    folds them on the driver, and routes corpus-cardinality keys through
+    `exchange()`; it calls no Ray `.sort(` and no Ray `.groupby(` outside the
+    listed sites. Ray's `Dataset.groupby` takes no `sort=` argument, so a
+    `.groupby(` that passes one is a pandas groupby and is allowed."""
+    path = pathlib.Path(events_validator_ray.__file__).parent / "pipelines" / "report.py"
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        if getattr(top, "name", "") in REPORT_BARRIER_SITES:
+            continue
+        for n in ast.walk(top):
+            attr = getattr(getattr(n, "func", None), "attr", None) if isinstance(n, ast.Call) else None
+            if attr == "sort" or (
+                attr == "groupby" and not any(kw.arg == "sort" for kw in n.keywords)
+            ):
+                found.append(f"report.py:{n.lineno} .{attr}(")
+    assert found == []

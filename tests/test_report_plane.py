@@ -1,0 +1,151 @@
+"""The report plane (`pipelines/report.py`): failures_by_day and
+worst_offenders fold per-block counts on the driver and must equal their
+DuckDB twins, whatever the fold window; empty inputs keep a typed schema;
+and every Arrow day string (`windows.utc_day`) equals DuckDB's strftime."""
+
+import datetime as dt
+
+import duckdb
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pytest
+
+from events_validator_ray.pipelines import report
+from events_validator_ray.stages.validate import VIOLATION_SCHEMA
+from events_validator_ray.stages.windows import utc_day
+
+DAY_US = 86_400_000_000
+BASE_US = 1_704_067_200_000_000
+TWIN_DAY = "COALESCE(strftime(timestamp, '%Y-%m-%d'), '(null)')"
+
+
+def _log_blocks() -> list[pa.Table]:
+    """Three VIOLATION_SCHEMA blocks over four days: NULL timestamps, NULL
+    fields, and the same (day, field) in every block."""
+    rng = np.random.default_rng(21)
+    blocks = []
+    for _ in range(3):
+        n = 120
+        ts = BASE_US + rng.integers(-1, 3, n) * DAY_US + rng.integers(0, DAY_US, n)
+        cols = {
+            "event_id": [f"e{i}" for i in rng.integers(0, 60, n)],
+            "field": [None if r < 0.15 else f"f{int(r * 4)}" for r in rng.random(n)],
+            "error_type": [f"t{i}" for i in rng.integers(0, 3, n)],
+            "timestamp": [None if r < 0.1 else int(v) for r, v in zip(rng.random(n), ts)],
+            "status": np.where(rng.random(n) < 0.6, "error", "valid").tolist(),
+        }
+        blocks.append(
+            pa.table(
+                {f.name: pa.array(cols.get(f.name, [None] * n), f.type) for f in VIOLATION_SCHEMA}
+            )
+        )
+    return blocks
+
+
+def _twin(sql: str, blocks: list[pa.Table]) -> pd.DataFrame:
+    con = duckdb.connect()
+    con.register("log", pa.concat_tables(blocks))
+    return con.sql(sql).df()
+
+
+def _frame(ds) -> pd.DataFrame:
+    df = ds.to_pandas()
+    return df.astype(object).where(df.notna(), None)
+
+
+@pytest.mark.parametrize("fold_rows", [report.FOLD_ROWS, 1])
+def test_failures_by_day_matches_twin(ray_session, monkeypatch, fold_rows):
+    """Same rows as the twin, in (date_utc, field) order, whether the
+    driver folds once or after every partial."""
+    import ray.data as rd
+
+    monkeypatch.setattr(report, "FOLD_ROWS", fold_rows)
+    blocks = _log_blocks()
+    got = _frame(report.failures_by_day(rd.from_arrow(blocks)))
+    want = _twin(
+        f"SELECT {TWIN_DAY} AS date_utc, field, COUNT(*) AS n_failures FROM log "
+        "WHERE status = 'error' GROUP BY ALL ORDER BY date_utc, field NULLS LAST",
+        blocks,
+    )
+    assert list(got.columns) == ["date_utc", "field", "n_failures"]
+    assert got.values.tolist() == want.astype(object).where(want.notna(), None).values.tolist()
+    assert "(null)" in set(got["date_utc"]) and got["field"].isna().any()
+    per_block = [
+        {(d, f) for d, f in _frame(report.failures_by_day(rd.from_arrow(b)))[["date_utc", "field"]].values}
+        for b in blocks
+    ]
+    assert set.intersection(*per_block)  # a (day, field) the fold must sum
+
+
+@pytest.mark.parametrize("fold_rows", [report.FOLD_ROWS, 1])
+def test_worst_offenders_matches_twin(ray_session, monkeypatch, fold_rows):
+    import ray.data as rd
+
+    monkeypatch.setattr(report, "FOLD_ROWS", fold_rows)
+    blocks = _log_blocks()
+    got = _frame(report.worst_offenders(rd.from_arrow(blocks), k=7))
+    want = _twin(
+        "SELECT field, error_type, COUNT(*) AS n FROM log WHERE status = 'error' "
+        "GROUP BY ALL ORDER BY n DESC, field NULLS LAST, error_type LIMIT 7",
+        blocks,
+    )
+    assert got.values.tolist() == want.astype(object).where(want.notna(), None).values.tolist()
+
+
+@pytest.mark.parametrize("kind", ["empty", "all_valid", "no_blocks"])
+def test_empty_report_is_typed(ray_session, kind):
+    import ray.data as rd
+
+    blocks = _log_blocks()
+    if kind == "empty":
+        ds = rd.from_arrow([b.slice(0, 0) for b in blocks])
+    elif kind == "all_valid":
+        ds = rd.from_arrow(
+            [b.set_column(b.schema.get_field_index("status"), "status", pa.array(["valid"] * len(b))) for b in blocks]
+        )
+    else:
+        ds = rd.from_arrow(blocks[0]).filter(lambda r: False)
+    for out, cols in (
+        (report.failures_by_day(ds), ["date_utc", "field", "n_failures"]),
+        (report.worst_offenders(ds), ["field", "error_type", "n"]),
+    ):
+        assert out.count() == 0
+        schema = out.schema()
+        assert list(schema.names) == cols
+        assert list(schema.types) == [pa.string(), pa.string(), pa.int64()]
+
+
+def _us(y, m, d, hh=0, mm=0, ss=0, us=0) -> int:
+    delta = dt.datetime(y, m, d, hh, mm, ss, us) - dt.datetime(1970, 1, 1)
+    return (delta.days * 86_400 + delta.seconds) * 1_000_000 + delta.microseconds
+
+
+DAY_EDGES = [
+    None,
+    -1,
+    -DAY_US - 1,
+    0,
+    _us(1, 1, 1),
+    _us(1, 1, 1, 23, 59, 59, 999_999),
+    _us(9999, 12, 31, 23, 59, 59, 999_999),
+    BASE_US,
+]
+
+
+@pytest.mark.parametrize("tz", [None, "UTC"])
+def test_utc_day_matches_duckdb_strftime(ray_session, tz):
+    """NULL, just before the epoch, one day and 1 µs before it, year 1 and
+    year 9999 render as DuckDB's COALESCE(strftime(ts, '%Y-%m-%d'), '(null)'),
+    in the helper and in the report plane's date_utc column."""
+    import ray.data as rd
+
+    ts = pa.array(DAY_EDGES, pa.timestamp("us", tz=tz))
+    con = duckdb.connect()
+    con.register("t", pa.table({"i": np.arange(len(ts)), "timestamp": ts.cast(pa.timestamp("us"))}))
+    want = [r[0] for r in con.sql(f"SELECT {TWIN_DAY} FROM t ORDER BY i").fetchall()]
+    assert want[:3] == ["(null)", "1969-12-31", "1969-12-30"]
+    assert want[4:7] == ["0001-01-01", "0001-01-01", "9999-12-31"]
+    assert utc_day(ts).to_pylist() == want
+    dated = report._with_date(rd.from_arrow(pa.table({"timestamp": ts}))).take_all()
+    assert [r["date_utc"] for r in dated] == want

@@ -206,6 +206,45 @@ def test_salted_empty_input_returns_empty(ray_session):
     _assert_matches_references(tbl, transcript_spec(), norm(pd.DataFrame({c: [] for c in VCOLS})))
 
 
+def test_first_role_min_nulls_case_unicode():
+    """The first-role check reports the MIN non-null role among the first
+    turn's rows (code-point order: upper before lower case, ASCII before
+    Cyrillic before CJK), or NULL when every role there is NULL; BucketChecker
+    agrees with ConversationChecker and the DuckDB twin."""
+    from events_validator_ray.stages.conversation import BucketChecker
+
+    first_turn_roles = {
+        "c_case": ["assistant", None, "Assistant"],
+        "c_null": [None, None],
+        "c_accent": ["ünïcode", "Zed"],
+        "c_script": ["用户", "ассистент", None],
+        "c_hit": ["System", "user"],
+    }
+    rows = []
+    for cid, roles in first_turn_roles.items():
+        rows += [(cid, 0, r) for r in roles] + [(cid, 1, "assistant")]
+    tbl = pa.table(
+        {
+            "conv_id": pa.array([r[0] for r in rows]),
+            "turn_idx": pa.array([r[1] for r in rows], pa.int32()),
+            "role": pa.array([r[2] for r in rows], pa.string()),
+            "text": pa.array(["x"] * len(rows)),
+            "tool": pa.array([None] * len(rows), pa.string()),
+            "ts": pa.array([1_704_067_200_000_000 + 1_000_000 * r[1] for r in rows], pa.timestamp("us")),
+        }
+    )
+    spec = transcript_spec()
+    got = BucketChecker(spec)(tbl.to_pandas()).to_pandas()
+    first = got[got["error_type"] == "ref"].set_index("event_id")["actual"]
+    assert first.to_dict() == {
+        "c_case:0": "Assistant",
+        "c_null:0": None,
+        "c_accent:0": "Zed",
+        "c_script:0": "ассистент",
+    }
+    _assert_matches_references(tbl, spec, norm(got))
+
+
 def _chain_pairs(n: int):
     import ray.data as rd
 
