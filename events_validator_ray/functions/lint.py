@@ -176,14 +176,3 @@ def spec_lint(spec: Spec, schema: pa.Schema) -> list[LintFinding]:
             )
         )
     return findings
-
-
-def lint_table(spec: Spec, schema: pa.Schema) -> "pd.DataFrame":  # noqa: F821
-    import pandas as pd
-
-    return pd.DataFrame(
-        [
-            {"severity": f.severity, "field": f.field, "code": f.code, "message": f.message}
-            for f in spec_lint(spec, schema)
-        ]
-    )

@@ -49,7 +49,6 @@ def _error_counts(ds, keys: list[str], n: str, order, k: int | None = None):
     the driver folds the partials into a running sum every FOLD_ROWS rows as
     they stream in. The pull is Σ per-block distinct keys. Returns a Dataset
     of (*keys, n); an empty or all-valid log gives a typed empty one."""
-    import ray.data as rd
 
     def count_block(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["status"], "error"))
@@ -67,7 +66,24 @@ def _error_counts(ds, keys: list[str], n: str, order, k: int | None = None):
         empty = {c: pa.array([], pa.string()) for c in keys}
         window = [pa.table({**empty, n: pa.array([], pa.int64())})]
     out = _sum_counts(acc + window, keys, n).sort_by(order)
-    return rd.from_arrow(out if k is None else out.slice(0, k))
+    return _dataset(out if k is None else out.slice(0, k))
+
+
+def _dataset(t: pa.Table):
+    """``t`` as a Dataset whose ``to_pandas`` keeps the columns when empty
+    (Ray skips empty blocks, so a plain empty Dataset's frame has none)."""
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    ds = rd.from_arrow(t)
+    if t.num_rows:
+        return ds
+
+    class EmptyResult(MaterializedDataset):
+        def to_pandas(self, limit=None):
+            return t.to_pandas()
+
+    return rd.Dataset.copy(ds, _as=EmptyResult)
 
 
 def failures_by_day(ds, dim: str = "field"):

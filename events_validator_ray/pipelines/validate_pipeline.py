@@ -4,11 +4,12 @@ checkpoint manifest.
 
 Stage layout (all Ray-Data-native; raw Ray tasks are never needed):
 
-1. scalar stage — per input-file partition: ``read_parquet(files)`` ->
-   ``map_batches(ValidateBatch, batch_format='pyarrow', zero_copy_batch=True)``
-   -> ``write_parquet(out/part_k)`` (atomic tmp+rename), one manifest record
-   per partition. Embarrassingly parallel AND resumable at partition
-   granularity.
+1. scalar stage — per input-file partition, ONE map-only pass:
+   ``read_parquet(files)`` -> one stateless ``map_batches(ScalarPass)`` that
+   validates each block, writes its log file into the partition's atomic tmp
+   dir and returns counts + sketch partials, folded on the driver as they
+   stream in; then the rename, the sketch sidecar and one manifest record.
+   No materialize, count or exchange barrier; resumable per partition.
 2. conversation stage — one global ``groupby(conv_id)`` shuffle over the
    PROJECTED key columns (conv_id, turn_idx, ts, role — never `text`);
    written once, its own manifest record (resume skips it wholesale).
@@ -31,10 +32,16 @@ import json
 import os
 import pickle
 import time
+import uuid
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..spec import Spec
 from ..stages.conversation import conversation_violations
-from ..stages.sketches import drift_report, profile_table, sketch_dataset
+from ..stages.sketches import SketchFold, SketchPartials, drift_report, profile_table
+from ..stages.sketches import sketch_dataset
 from ..stages.validate import DEFAULT_RUN_TS, ValidateBatch
 from ..state.manifest import (
     Manifest,
@@ -50,6 +57,34 @@ DEFAULT_SKETCH_PLAN = {
     "tool": ("cathist",),
     "ts": ("stats",),
 }
+
+
+class ScalarPass:
+    """Stage 1's map-only UDF: validate a block, write its log as one parquet
+    file into ``log_dir``, and return one row of (file, n_rows, n_err,
+    n_valid) — file null for an empty log — followed by the block's sketch
+    partial rows (``SketchPartials``)."""
+
+    def __init__(self, spec: Spec, run_ts, log_valid: bool, plan: dict, log_dir: str):
+        self.validate = ValidateBatch(spec, run_ts=run_ts, log_valid=log_valid)
+        self.sketch = SketchPartials(plan)
+        self.log_dir = log_dir
+
+    def __call__(self, block: pa.Table) -> pa.Table:
+        log = self.validate(block)
+        name = None
+        if log.num_rows:
+            name = f"{uuid.uuid4().hex}.parquet"
+            pq.write_table(log, os.path.join(self.log_dir, name))
+        n_err = pc.sum(pc.equal(log["status"], "error")).as_py() or 0
+        counts = pa.table({"file": pa.array([name], pa.string()), "n_rows": [block.num_rows],
+                           "n_err": [n_err], "n_valid": [log.num_rows - n_err]})
+        return pa.concat_tables([counts, self.sketch(block)], promote_options="default")
+
+
+def _plan(sketch_plan: dict | None) -> tuple[dict, str]:
+    plan = {c: tuple(k) for c, k in (sketch_plan or DEFAULT_SKETCH_PLAN).items()}
+    return plan, _hashlib.sha256(repr(sorted(plan.items())).encode()).hexdigest()[:8]
 
 
 def _partitions(files: list[str], files_per_partition: int) -> list[tuple[str, list[str]]]:
@@ -107,13 +142,10 @@ def run_validation(
             pass
 
     # ---- stage 1: scalar validation + sketch partials, per partition
-    plan = {c: tuple(k) for c, k in (sketch_plan or DEFAULT_SKETCH_PLAN).items()}
     # the sketch PLAN is part of the resume identity: fold its hash into the
     # spec hash used by every stage-1/profile record, or a re-run with a
     # different plan would silently serve the OLD plan's sidecars/profile
-    plan_hash = _hashlib.sha256(
-        repr(sorted((c, tuple(k)) for c, k in plan.items())).encode()
-    ).hexdigest()[:8]
+    plan, plan_hash = _plan(sketch_plan)
     spec_hash = f"{spec_hash}+plan:{plan_hash}"
     conv_filter = None
     if only_convs is not None:
@@ -124,11 +156,10 @@ def run_validation(
         # the id set is part of the resume identity, like the sketch plan
         spec_hash = f"{spec_hash}+convs:{convs_hash}"
 
-        import pyarrow as _pa
         import ray as _ray
 
         # broadcast ONCE — stage 1 filters every partition against this set
-        convs_ref = _ray.put(_pa.array(conv_list, type=_pa.string()))
+        convs_ref = _ray.put(pa.array(conv_list, type=pa.string()))
 
         # keep_nulls: NULL-conv_id rows are invisible to the snapshot diff
         # (no key to match), so the incremental pass must always revalidate
@@ -162,34 +193,36 @@ def run_validation(
             continue
         t0 = time.time()
         final_dir = os.path.join(out_dir, "violations", part_id)
-        # ONE disk read per partition: materialize the partition's blocks in
-        # the object store (partition-bounded — `files_per_partition` sets the
-        # quantum; the store spills if needed) and feed validation, sketch
-        # partials and counts from there instead of re-reading the files (3x
-        # read amplification before).
-        src = rd.read_parquet(part_files)
+        # one read per partition; one task per file and pyarrow's batching (a
+        # block per row group, at most 2^17 rows) rather than Ray's 10k-row
+        # reader batches, so the log is about one file per input file
+        src = rd.read_parquet(part_files, override_num_blocks=len(part_files), batch_size=None)
         if conv_filter is not None:
             src = conv_filter(src)
-        src = src.materialize()
-        n_rows = src.count()
+        fold, named = SketchFold(), set()
+        n_rows = n_err = n_valid = 0
+        with atomic_output_dir(final_dir) as tmp:
+            summaries = src.map_batches(
+                ScalarPass(spec, run_ts, log_valid, plan, tmp),
+                batch_format="pyarrow",
+                batch_size=None,
+                zero_copy_batch=True,
+            )
+            for rows in summaries.iter_batches(batch_size=None, batch_format="pyarrow"):
+                fold.add(rows)
+                named.update(f for f in rows["file"].to_pylist() if f is not None)
+                n_rows += pc.sum(rows["n_rows"]).as_py() or 0
+                n_err += pc.sum(rows["n_err"]).as_py() or 0
+                n_valid += pc.sum(rows["n_valid"]).as_py() or 0
+            # drop what no summary names: a retried task's leftover file
+            for f in os.listdir(tmp):
+                if f not in named:
+                    os.remove(os.path.join(tmp, f))
         # mergeable sketch partials for THIS partition (persisted so a resumed
         # run merges without recomputing — SURVEY.md §7.4 item 4)
-        part_sketches = sketch_dataset(src, plan)
-        out = src.map_batches(
-            ValidateBatch(spec, run_ts=run_ts, log_valid=log_valid),
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        ).materialize()
-        del src  # release the input blocks before writing the log table
-        with atomic_output_dir(final_dir) as tmp:
-            out.write_parquet(tmp)
         with open(sidecar + ".tmp", "wb") as f:
-            pickle.dump(part_sketches, f)
+            pickle.dump(fold.result(), f)
         os.replace(sidecar + ".tmp", sidecar)
-        # counts from the in-flight (materialized) log — never re-read the sink
-        n_err = out.filter(expr="status == 'error'").count()
-        n_valid = out.count() - n_err
         manifest.append(
             PartitionRecord(
                 partition_id=part_id,
@@ -342,10 +375,7 @@ def run_profile(
     if not files:
         raise FileNotFoundError(f"no parquet files under {input_path}")
     manifest = Manifest(out_dir)
-    plan = {c: tuple(k) for c, k in (sketch_plan or DEFAULT_SKETCH_PLAN).items()}
-    plan_hash = _hashlib.sha256(
-        repr(sorted((c, tuple(k)) for c, k in plan.items())).encode()
-    ).hexdigest()[:8]
+    plan, plan_hash = _plan(sketch_plan)
     spec_hash = f"profile-only+plan:{plan_hash}"
     summary: dict = {"partitions": [], "skipped": 0, "executed": 0}
 
@@ -366,7 +396,7 @@ def run_profile(
             continue
         t0 = time.time()
         # projection to the planned columns happens inside sketch_dataset;
-        # map-only (partial → bounded combine), nothing shuffles
+        # map-only partials folded on the driver, nothing shuffles
         part_sketches = sketch_dataset(rd.read_parquet(part_files), plan)
         with open(sidecar + ".tmp", "wb") as f:
             pickle.dump(part_sketches, f)

@@ -617,17 +617,6 @@ def synthetic_media_real(n: int = 64, seed: int = 5) -> pa.Table:
     return _synthetic_media_real_build(n, seed)[0]
 
 
-def synthetic_media_real_truth(n: int = 64, seed: int = 5) -> pa.Table:
-    """Generation-time ground truth for the IMAGE rows of
-    ``synthetic_media_real(n, seed)``: (media_id, width, height, pix_sum)
-    where pix_sum is the int64 sum of all RGB pixel values BEFORE encoding.
-    A decode that round-trips the encoder must reproduce these exactly —
-    the value-checked oracle for the decode stage. The AUDIO rows' analog
-    (sample_rate, n_samples, raw int16 sample sum) is the third table of
-    ``_synthetic_media_real_build`` / ``ensure_media_real``."""
-    return _synthetic_media_real_build(n, seed)[1]
-
-
 # v2: video payloads became real Y4M streams (bump on generation change)
 MEDIA_CACHE_ROOT = "/tmp/graft_media_v2"
 

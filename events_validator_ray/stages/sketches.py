@@ -6,12 +6,12 @@ These generalize the reference's only distinct-count (n_unique(event_id),
 streamlit_ev/app/validation_report.py:119-131) into the stateful profile plane
 the north rule mandates (SURVEY.md §2.3 ST1, §2.5 A5).
 
-Execution pattern (scale-sane): a ``map_batches`` stage emits ONE serialized
-partial sketch row per (batch, column, kind); a ``repartition`` exchange
-barrier then routes the partials into `combine_partitions` tasks whose
-whole-block combine collapses them, so the driver merges at most
-combine_partitions × |(col, kind)| rows regardless of block count — never
-one row per block, never the data. All sketches merge associatively, so the
+Execution pattern (scale-sane): a map-only ``map_batches`` stage emits ONE
+serialized partial sketch row per (block, column, kind), and the driver folds
+the rows as they stream in (``SketchFold``) — no exchange barrier, never the
+data. Once the held payloads pass FOLD_WINDOW_BYTES the driver collapses them
+into one partial per (column, kind), so it holds at most one window of
+partials whatever the block count. All sketches merge associatively, so the
 same partials can be persisted in the checkpoint manifest and merged across
 resumed runs.
 
@@ -78,7 +78,8 @@ class ColumnStats:
         if pa.types.is_integer(col.type) or pa.types.is_floating(col.type):
             self.numeric = True
             self.sum += pc.sum(col).as_py() or 0
-            self.sumsq += pc.sum(pc.multiply(col, col)).as_py() or 0
+            f = pc.cast(col, pa.float64())  # an integer square wraps silently
+            self.sumsq += pc.sum(pc.multiply(f, f)).as_py() or 0
 
     def merge(self, other: "ColumnStats") -> "ColumnStats":
         self.count += other.count
@@ -331,7 +332,7 @@ class NumHist:
 
 
 # ---------------------------------------------------------------------------
-# Ray plumbing: partial-sketch rows -> block combine -> driver merge
+# Ray plumbing: map-only partial-sketch rows -> windowed driver fold
 # ---------------------------------------------------------------------------
 
 # bare 'numhist' is NOT valid — it always needs the parametrized
@@ -412,88 +413,61 @@ class SketchPartials:
         )
 
 
-def combine_sketch_rows(batch: pa.Table) -> pa.Table:
-    """Block-level combine: merge all partials sharing (col, kind) within this
-    block — the tree-reduce step keeping driver-side merge input bounded."""
-    merged: dict[tuple[str, str], Any] = {}
-    for row in batch.to_pylist():
-        key = (row["col"], row["kind"])
-        sk = pickle.loads(row["payload"])
-        if key in merged:
-            merged[key].merge(sk)
-        else:
-            merged[key] = sk
-    cols = [k[0] for k in merged]
-    kinds = [k[1] for k in merged]
-    payloads = [pickle.dumps(v) for v in merged.values()]
-    return pa.table(
-        {
-            "col": pa.array(cols, pa.string()),
-            "kind": pa.array(kinds, pa.string()),
-            "payload": pa.array(payloads, pa.binary()),
-        }
-    )
+#: partial payload bytes the driver holds before the one combine level
+#: merges them into one partial per (column, kind): driver memory stays one
+#: window whatever the block count (a 16 KB HLL partial per block is a
+#: multi-GB fan-in at 10^12-turn block counts if held whole)
+FOLD_WINDOW_BYTES = 64 << 20
 
 
-def combined_partial_rows(
-    ds,
-    plan: dict[str, tuple[str, ...]],
-    concurrency: int | None = None,
-    combine_partitions: int = 8,
-):
-    """Partial-sketch rows reduced to ≤ combine_partitions × |(col, kind)| rows
-    — the Dataset `sketch_dataset` pulls. The `repartition` between partials
-    and combine is a REAL exchange barrier: without it Ray fuses
-    `SketchPartials → combine_sketch_rows` into one task (same-task
-    re-batching), the combine only merges partials its own task produced, and
-    the driver still pulls ~one row per (block × column × kind) — at
-    10^12-turn block counts with 16 KB HLL payloads that is a multi-GB driver
-    fan-in (same bug class fixed for Bloom in joins.build_bloom)."""
-    cols = [c for c in plan]
-    projected = ds.select_columns(cols)
-    if concurrency:
-        partials = projected.map_batches(
-            SketchPartials,
-            fn_constructor_kwargs={"plan": plan},
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    else:
-        partials = projected.map_batches(SketchPartials(plan), batch_format="pyarrow")
-    return (
-        partials
-        .repartition(combine_partitions)
-        # whole-block batches: one combined row per (col, kind) per partition
-        .map_batches(combine_sketch_rows, batch_format="pyarrow", batch_size=None)
-    )
-
-
-def sketch_dataset(
-    ds,
-    plan: dict[str, tuple[str, ...]],
-    concurrency: int | None = None,
-    combine_partitions: int = 8,
-):
-    """ds -> merged sketches {(col, kind): sketch}. Projects to the planned
-    columns before sketching; the partial→combine reduction behind a
-    repartition barrier keeps the all-to-driver fan-in at
-    combine_partitions × keys rows regardless of block count.
-
-    `concurrency=N` runs the partial stage as an actor pool (plan validated /
-    state constructed once per actor — the north-star's stateful-stage shape);
-    default is stateless tasks, which fuse with the read and win on this
-    workload since per-batch partials carry all the state that matters."""
-    rows = combined_partial_rows(ds, plan, concurrency, combine_partitions).take_all()
-    merged: dict[tuple[str, str], Any] = {}
-    for row in rows:
-        key = (row["col"], row["kind"])
-        sk = pickle.loads(row["payload"])
-        if key in merged:
-            merged[key].merge(sk)
-        else:
-            merged[key] = sk
+def _merge_payloads(payloads: list[bytes]):
+    """Merge serialized partials in a canonical order (sorted by their
+    bytes), so the result depends only on the set of partials — not on the
+    order the blocks finish in (t-digest merges are order-sensitive)."""
+    merged = None
+    for b in sorted(payloads):
+        sk = pickle.loads(b)
+        merged = sk if merged is None else merged.merge(sk)
     return merged
+
+
+class SketchFold:
+    """Driver-side fold of (col, kind, payload) rows as they stream in; rows
+    with a null payload are skipped. ``result()`` -> {(col, kind): sketch}."""
+
+    def __init__(self):
+        self.held: dict[tuple[str, str], list[bytes]] = {}
+        self.held_bytes = 0
+
+    def add(self, rows: pa.Table) -> None:
+        for col, kind, payload in zip(
+            rows["col"].to_pylist(), rows["kind"].to_pylist(), rows["payload"].to_pylist()
+        ):
+            if payload is not None:
+                self.held.setdefault((col, kind), []).append(payload)
+                self.held_bytes += len(payload)
+        if self.held_bytes > FOLD_WINDOW_BYTES:
+            self._combine()
+
+    def _combine(self) -> None:
+        self.held = {k: [pickle.dumps(v)] for k, v in self.result().items()}
+        self.held_bytes = sum(len(p[0]) for p in self.held.values())
+
+    def result(self) -> dict[tuple[str, str], Any]:
+        return {k: _merge_payloads(self.held[k]) for k in sorted(self.held)}
+
+
+def sketch_dataset(ds, plan: dict[str, tuple[str, ...]]):
+    """ds -> merged sketches {(col, kind): sketch}. Projects to the planned
+    columns, emits one partial row per (block, column, kind) map-side, and
+    folds the rows on the driver as they stream in (``SketchFold``)."""
+    fold = SketchFold()
+    partials = ds.select_columns(list(plan)).map_batches(
+        SketchPartials(plan), batch_format="pyarrow", batch_size=None
+    )
+    for rows in partials.iter_batches(batch_size=None, batch_format="pyarrow"):
+        fold.add(rows)
+    return fold.result()
 
 
 def profile_table(sketches: dict[tuple[str, str], Any]) -> pd.DataFrame:

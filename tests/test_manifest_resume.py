@@ -227,3 +227,91 @@ def test_only_convs_incremental_revalidation(ray_session, out_dir):
         only_convs=set(convs_with_viols[:3]),
     )
     assert s3["executed"] == s1["executed"]
+
+
+def test_stray_tmp_file_never_reaches_log(ray_session, tmp_path, monkeypatch):
+    """A parquet file in a partition's tmp dir that no block summary names
+    — what a retried stage-1 task leaves behind — is deleted before the
+    rename: the final violations/part_* hold only the named files, and the
+    counts and rows equal a clean run's."""
+    import contextlib
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from events_validator_ray.pipelines import validate_pipeline as vp
+    from events_validator_ray.stages.validate import VIOLATION_SCHEMA
+
+    tdir = ensure_transcripts(0.002, n_files=4)
+    spec = transcript_spec()
+    clean = str(tmp_path / "clean")
+    run_validation(tdir, clean, spec, files_per_partition=2)
+
+    stray = pa.table(
+        {
+            f.name: pa.array(
+                ["stray:0" if f.name == "event_id" else "error" if f.name == "status" else None],
+                f.type,
+            )
+            for f in VIOLATION_SCHEMA
+        }
+    )
+    real = vp.atomic_output_dir
+    planted = []
+
+    @contextlib.contextmanager
+    def planting(final_dir):
+        with real(final_dir) as tmp:
+            if os.path.basename(final_dir).startswith("part_"):
+                path = os.path.join(tmp, "0" * 32 + ".parquet")
+                pq.write_table(stray, path)
+                planted.append(path)
+            yield tmp
+
+    monkeypatch.setattr(vp, "atomic_output_dir", planting)
+    out = str(tmp_path / "out")
+    summary = run_validation(tdir, out, spec, files_per_partition=2)
+    assert len(planted) == len(summary["partitions"]) >= 2
+    for part_id in summary["partitions"]:
+        assert "0" * 32 + ".parquet" not in os.listdir(os.path.join(out, "violations", part_id))
+    assert _violation_set(out) == _violation_set(clean)
+
+    def counts(d):
+        with open(os.path.join(d, "manifest.jsonl")) as f:
+            recs = [json.loads(l) for l in f if l.strip()]
+        return sorted(
+            (r["partition_id"], r["n_rows"], r["n_violations"], r["n_valid"]) for r in recs
+        )
+
+    assert counts(out) == counts(clean)
+
+
+def test_stage1_has_no_barriers(ray_session, tmp_path, monkeypatch):
+    """Stage 1 is one streaming pass per partition: nothing before the last
+    partition's manifest record calls Dataset.materialize, .count or
+    .repartition (the conversation stage after it may)."""
+    import ray.data as rd
+
+    from events_validator_ray.state.manifest import Manifest
+
+    events = []
+    for name in ("materialize", "count", "repartition"):
+        real = getattr(rd.Dataset, name)
+
+        def spy(self, *a, _real=real, _name=name, **k):
+            events.append(("call", _name))
+            return _real(self, *a, **k)
+
+        monkeypatch.setattr(rd.Dataset, name, spy)
+    real_append = Manifest.append
+
+    def append(self, rec):
+        events.append(("record", rec.partition_id))
+        return real_append(self, rec)
+
+    monkeypatch.setattr(Manifest, "append", append)
+    tdir = ensure_transcripts(0.002, n_files=4)
+    run_validation(tdir, str(tmp_path / "out"), transcript_spec(), files_per_partition=2)
+    last = max(i for i, (kind, pid) in enumerate(events) if kind == "record" and pid.startswith("part_"))
+    assert sum(1 for kind, pid in events[: last + 1] if kind == "record") >= 2
+    assert [e for e in events[:last] if e[0] == "call"] == []

@@ -95,6 +95,8 @@ def test_worst_offenders_matches_twin(ray_session, monkeypatch, fold_rows):
 
 @pytest.mark.parametrize("kind", ["empty", "all_valid", "no_blocks"])
 def test_empty_report_is_typed(ray_session, kind):
+    """An empty, all-valid or block-less log gives typed empty reports, as
+    Datasets and as frames."""
     import ray.data as rd
 
     blocks = _log_blocks()
@@ -110,10 +112,16 @@ def test_empty_report_is_typed(ray_session, kind):
         (report.failures_by_day(ds), ["date_utc", "field", "n_failures"]),
         (report.worst_offenders(ds), ["field", "error_type", "n"]),
     ):
-        assert out.count() == 0
+        assert out.count() == 0 and out.take_all() == []
         schema = out.schema()
         assert list(schema.names) == cols
         assert list(schema.types) == [pa.string(), pa.string(), pa.int64()]
+        # Ray skips empty blocks as it iterates: the frame must still have
+        # its columns
+        assert list(out.to_pandas().columns) == cols
+    rate = report.daily_error_rate(ds)
+    assert list(rate.columns) == ["date_utc", "n_events", "n_error_events", "error_rate"]
+    assert rate["n_error_events"].sum() == 0
 
 
 def _us(y, m, d, hh=0, mm=0, ss=0, us=0) -> int:

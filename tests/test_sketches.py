@@ -109,27 +109,65 @@ def test_sketch_dataset_end_to_end(ray_session):
     assert roles["user"] > 0 and roles["assistant"] > 0
 
 
-def test_sketch_combine_fanin_bounded(ray_session):
-    """The partial→combine reduction is a REAL exchange (repartition barrier,
-    joins.build_bloom pattern): the driver pulls ≤ combine_partitions × keys
-    combined rows even when the input has many more blocks — NOT one row per
-    (block × col × kind), which chained map_batches fusion would leave."""
+def test_sketch_combine_fanin_bounded(ray_session, monkeypatch):
+    """The driver folds partials as they stream in and holds at most one
+    window of them: with the window forced below one partial, the combine
+    level fires on every pull, so between pulls the driver holds one
+    payload per (col, kind) — never one per (block × col × kind) — and the
+    merged sketch is still exact. At the default window nothing combines."""
     import pandas as pd
     import ray.data as rd
 
-    from events_validator_ray.stages.sketches import combined_partial_rows
+    from events_validator_ray.stages import sketches
 
     n_blocks = 32
     df = pd.DataFrame({"x": np.arange(20_000), "y": np.arange(20_000) % 7})
-    ds = rd.from_pandas(df).repartition(n_blocks)
+    ds = rd.from_pandas(df).repartition(n_blocks).materialize()
     plan = {"x": ("stats", "hll"), "y": ("stats",)}  # 3 (col, kind) keys
-    k = 4
-    rows = combined_partial_rows(ds, plan, combine_partitions=k).take_all()
-    assert len(rows) <= k * 3 < n_blocks * 3
-    # and the merged result is still exact
-    sk = sketch_dataset(ds, plan, combine_partitions=k)
+    pulled, held, combines = [], [], []
+    real_add, real_combine = sketches.SketchFold.add, sketches.SketchFold._combine
+
+    def add(self, rows):
+        pulled.append(rows.num_rows)
+        real_add(self, rows)
+        held.append(max(len(p) for p in self.held.values()))
+
+    def combine(self):
+        combines.append(self.held_bytes)
+        real_combine(self)
+
+    monkeypatch.setattr(sketches.SketchFold, "add", add)
+    monkeypatch.setattr(sketches.SketchFold, "_combine", combine)
+    whole = sketch_dataset(ds, plan)
+    assert sum(pulled) == n_blocks * 3 and not combines
+
+    pulled.clear(), held.clear()
+    monkeypatch.setattr(sketches, "FOLD_WINDOW_BYTES", 1)
+    sk = sketch_dataset(ds, plan)
+    assert sum(pulled) == n_blocks * 3
+    assert len(combines) == len(pulled) and max(held) == 1
     st = sk[("x", "stats")]
     assert st.count == 20_000 and st.min == 0 and st.max == 19_999
+    assert st.sum == whole[("x", "stats")].sum == sum(range(20_000))
+    assert sk[("y", "stats")].sumsq == whole[("y", "stats")].sumsq
+    assert np.array_equal(sk[("x", "hll")].registers, whole[("x", "hll")].registers)
+
+
+@pytest.mark.parametrize("dtype", [pa.int32(), pa.int64()])
+def test_column_stats_std_matches_numpy(dtype):
+    """Sum of squares is taken in float64: an int32 square of values near
+    1e6 wraps (it once gave every int32 column a std of 0.0)."""
+    rng = np.random.default_rng(3)
+    chunks = [rng.integers(0, 1_000_001, 5_000) for _ in range(3)]
+    stats = []
+    for c in chunks:
+        st = ColumnStats("v")
+        st.add_column(pa.array(c, dtype))
+        stats.append(st)
+    merged = stats[0].merge(stats[1]).merge(stats[2])
+    ref = np.concatenate(chunks).astype(np.float64)
+    assert merged.std() == pytest.approx(ref.std(), rel=1e-9)
+    assert merged.mean() == pytest.approx(ref.mean(), rel=1e-12)
 
 
 def test_numhist_drift(ray_session):
