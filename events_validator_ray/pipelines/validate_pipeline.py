@@ -7,11 +7,14 @@ Stage layout (all Ray-Data-native; raw Ray tasks are never needed):
 1. scalar stage — per input-file partition, ONE map-only pass:
    ``read_parquet(files)`` -> one stateless ``map_batches(ScalarPass)`` that
    validates each block, writes its log file into the partition's atomic tmp
-   dir and returns counts + sketch partials, folded on the driver as they
-   stream in; then the rename, the sketch sidecar and one manifest record.
-   No materialize, count or exchange barrier; resumable per partition.
-2. conversation stage — one global ``groupby(conv_id)`` shuffle over the
-   PROJECTED key columns (conv_id, turn_idx, ts, role — never `text`);
+   dir and returns counts, the block's hot-conversation candidates and
+   sketch partials, folded on the driver as they stream in; then the
+   rename, the sketch sidecar and one manifest record (its ``extra`` keeps
+   the candidates). No materialize, count or exchange barrier; resumable
+   per partition.
+2. conversation stage — the keyed exchange of ``stages/conversation.py``
+   over the PROJECTED key columns (conv_id, turn_idx, ts, role — never
+   `text`), with the hot set stage 1 proposed, so its input executes once;
    written once, its own manifest record (resume skips it wholesale).
 3. profile stage — mergeable sketches (stats/HLL/t-digest/cat-hist), partials
    merged to a JSON profile in the manifest directory; drift scored against a
@@ -39,8 +42,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..spec import Spec
-from ..stages.conversation import conversation_violations
-from ..stages.sketches import SketchFold, SketchPartials, drift_report, profile_table
+from ..stages import conversation
+from ..stages.sketches import SketchFold, SketchPartials, drift_report, frequent_values, profile_table
 from ..stages.sketches import sketch_dataset
 from ..stages.validate import DEFAULT_RUN_TS, ValidateBatch
 from ..state.manifest import (
@@ -62,13 +65,15 @@ DEFAULT_SKETCH_PLAN = {
 class ScalarPass:
     """Stage 1's map-only UDF: validate a block, write its log as one parquet
     file into ``log_dir``, and return one row of (file, n_rows, n_err,
-    n_valid) — file null for an empty log — followed by the block's sketch
-    partial rows (``SketchPartials``)."""
+    n_valid, hot) — file null for an empty log, hot the conv_ids that hold
+    at least ``conversation.CHUNK`` of the block's rows — followed by the
+    block's sketch partial rows (``SketchPartials``)."""
 
     def __init__(self, spec: Spec, run_ts, log_valid: bool, plan: dict, log_dir: str):
         self.validate = ValidateBatch(spec, run_ts=run_ts, log_valid=log_valid)
         self.sketch = SketchPartials(plan)
         self.log_dir = log_dir
+        self.chunk = conversation.CHUNK  # read on the driver; travels with the UDF
 
     def __call__(self, block: pa.Table) -> pa.Table:
         log = self.validate(block)
@@ -77,8 +82,10 @@ class ScalarPass:
             name = f"{uuid.uuid4().hex}.parquet"
             pq.write_table(log, os.path.join(self.log_dir, name))
         n_err = pc.sum(pc.equal(log["status"], "error")).as_py() or 0
+        hot = frequent_values(block["conv_id"], self.chunk)
         counts = pa.table({"file": pa.array([name], pa.string()), "n_rows": [block.num_rows],
-                           "n_err": [n_err], "n_valid": [log.num_rows - n_err]})
+                           "n_err": [n_err], "n_valid": [log.num_rows - n_err],
+                           "hot": pa.ListArray.from_arrays([0, len(hot)], hot)})
         return pa.concat_tables([counts, self.sketch(block)], promote_options="default")
 
 
@@ -169,6 +176,8 @@ def run_validation(
     parts_dir = os.path.join(out_dir, "profile_parts")
     os.makedirs(parts_dir, exist_ok=True)
     parts = _partitions(files, files_per_partition)
+    # (Σ rows, hot set) for the conversation stage, as detect_skew returns it
+    total_rows, hot = 0, set()
     # reconcile ORPHANED final outputs: a re-run with fewer inputs or a
     # different files_per_partition leaves stale violations/part_* dirs that
     # the read-back plane would double-count — remove any final dir not in
@@ -187,7 +196,10 @@ def run_validation(
         fp = fingerprint_files(part_files)
         done = manifest.completed(part_id, fp, spec_hash) if resume else None
         sidecar = os.path.join(parts_dir, f"{part_id}.pkl")
-        if done and os.path.exists(sidecar):
+        # a record without hot candidates predates them: re-run it
+        if done and os.path.exists(sidecar) and "hot_convs" in done.extra:
+            total_rows += done.n_rows
+            hot.update(done.extra["hot_convs"])
             summary["skipped"] += 1
             summary["partitions"].append(done.partition_id)
             continue
@@ -199,7 +211,7 @@ def run_validation(
         src = rd.read_parquet(part_files, override_num_blocks=len(part_files), batch_size=None)
         if conv_filter is not None:
             src = conv_filter(src)
-        fold, named = SketchFold(), set()
+        fold, named, part_hot = SketchFold(), set(), set()
         n_rows = n_err = n_valid = 0
         with atomic_output_dir(final_dir) as tmp:
             summaries = src.map_batches(
@@ -214,6 +226,7 @@ def run_validation(
                 n_rows += pc.sum(rows["n_rows"]).as_py() or 0
                 n_err += pc.sum(rows["n_err"]).as_py() or 0
                 n_valid += pc.sum(rows["n_valid"]).as_py() or 0
+                part_hot.update(pc.list_flatten(rows["hot"]).to_pylist())
             # drop what no summary names: a retried task's leftover file
             for f in os.listdir(tmp):
                 if f not in named:
@@ -235,13 +248,15 @@ def run_validation(
                 n_valid=n_valid,
                 output_path=final_dir,
                 wall_s=round(time.time() - t0, 3),
-                extra={"profile_part": sidecar},
+                extra={"profile_part": sidecar, "hot_convs": sorted(part_hot)},
             )
         )
+        total_rows += n_rows
+        hot |= part_hot
         summary["executed"] += 1
         summary["partitions"].append(part_id)
 
-    # ---- stage 2: conversation checks (one global shuffle over all inputs)
+    # ---- stage 2: conversation checks (one keyed exchange over all inputs)
     conv_fp = fingerprint_files(files)
     conv_done = manifest.completed("conversation", conv_fp, spec_hash) if resume else None
     if conv_done:
@@ -253,7 +268,9 @@ def run_validation(
         if conv_filter is not None:
             ds = conv_filter(ds)
         # small (violations only); count without re-reading
-        conv = conversation_violations(ds, spec, run_ts).materialize()
+        conv = conversation.conversation_violations(
+            ds, spec, run_ts, chunk=conversation.CHUNK, skew=(total_rows, sorted(hot))
+        ).materialize()
         with atomic_output_dir(final_dir) as tmp:
             # the bucketed exchange leaves one small block per task; bundle
             # them so the log is not a file per bucket
@@ -396,8 +413,10 @@ def run_profile(
             continue
         t0 = time.time()
         # projection to the planned columns happens inside sketch_dataset;
-        # map-only partials folded on the driver, nothing shuffles
-        part_sketches = sketch_dataset(rd.read_parquet(part_files), plan)
+        # map-only partials folded on the driver, nothing shuffles. Read as
+        # stage 1 does: one block per row group, so one partial per file
+        src = rd.read_parquet(part_files, override_num_blocks=len(part_files), batch_size=None)
+        part_sketches = sketch_dataset(src, plan)
         with open(sidecar + ".tmp", "wb") as f:
             pickle.dump(part_sketches, f)
         os.replace(sidecar + ".tmp", sidecar)

@@ -2,10 +2,11 @@
 first-turn role — the referential/ordering rules mandated by the north rule
 (absent from the per-record reference engine; SURVEY.md §2.4 J4, §2.7).
 
-The only required shuffle in the engine: ``groupby("conv_id")`` over a
-*projected* dataset (never the wide ``text`` column). Ordering is established
-inside each group (sort by ``turn_idx``) — cheaper than a global sort and
-sufficient for "per-turn text equality under stable turn ordering".
+The checks need every row of a conversation in one place: one keyed
+exchange (``stages/exchange.py``) over a *projected* dataset (never the wide
+``text`` column). Ordering is established inside each bucket (a sort by
+conversation and ``turn_idx``) — cheaper than a global sort and sufficient
+for "per-turn text equality under stable turn ordering".
 
 Check semantics (each SQL-expressible, see __ray_entry__.oracle_sql):
 
@@ -27,20 +28,22 @@ Check semantics (each SQL-expressible, see __ray_entry__.oracle_sql):
 One path, exact under single-conversation skew (two-phase salting per
 DS2/ICDE'21, see PAPERS.md):
 
-- Hot set (``detect_skew``): a map-only pass over ``conv_id`` — per-block
-  value counts, no shuffle — marks a conversation hot when some block holds
-  at least ``chunk`` of its rows. The driver pull is bounded by
-  Σ rows / ``chunk``.
+- Hot set: a conversation is hot when some block holds at least ``chunk``
+  of its rows (``sketches.frequent_values`` per block, no shuffle); the
+  driver pull is bounded by Σ rows / ``chunk``. ``run_validation`` takes it
+  from its stage-1 blocks (the ``skew`` argument), so the conversation stage
+  executes its input once; other callers run ``detect_skew``, a map-only
+  pass over ``conv_id``.
 - Salt: ``chunk = max(turn_idx // chunk, 0)`` for hot conversations, 0 for
   all others. Row count, not turn value, decides salting, so a sparse
   conversation with a huge turn gap stays whole.
 - Phase 1 is one keyed exchange (``stages/exchange.py``) by
   ``(conv_id, chunk)``, so one task checks thousands of groups vectorized
-  (``BucketChecker``). A cold conversation is
-  one whole group and is finalized there. Each slice of a hot conversation
-  runs the within-slice checks (exact: equal turn values share a slice) and
-  emits one packed summary row (``SUMMARY_FIELDS``); chunk>0 slices carry
-  their per-row (turn_idx, ts) payload.
+  (``BucketChecker``: sorted-array arithmetic over an Arrow bucket). A cold
+  conversation is one whole group and is finalized there. Each slice of a
+  hot conversation runs the within-slice checks (exact: equal turn values
+  share a slice) and emits one packed summary row (``SUMMARY_FIELDS``);
+  chunk>0 slices carry their per-row (turn_idx, ts) payload.
 - Phase 2 runs only when the hot set is non-empty. It merges the hot
   conversations' summaries in an exchange keyed by conversation
   (``_Phase2Packed``): min
@@ -67,6 +70,11 @@ from .exchange import exchange
 from .validate import DEFAULT_RUN_TS, VIOLATION_SCHEMA
 
 _NEG_INF = np.iinfo(np.int64).min
+
+#: the hot rule's row count and the salt's slice width in turns. One
+#: constant for both stages of ``run_validation``: stage 1 evaluates the hot
+#: rule on its blocks, the conversation stage salts by it.
+CHUNK = 10_000
 
 #: packed per-chunk summary layout (phase 1 -> phase 2): SEP-joined values in
 #: SUMMARY_FIELDS order, "" = null. Packed/unpacked with VECTORIZED string
@@ -140,15 +148,20 @@ def _emit(rows, eid, field, etype, exp, act, ename, status="error", payload=None
     rows["type"].append(None)
 
 
+def _ts_us(col) -> tuple[np.ndarray, np.ndarray]:
+    """(epoch-µs int64 values, validity) of a timestamp column in any unit
+    (ns floors to µs); a null reads as ``_NEG_INF``."""
+    ok = pc.is_valid(col).to_numpy(zero_copy_only=False)
+    vals = pc.fill_null(col.cast(pa.int64()), 0).to_numpy().astype(np.int64)
+    unit = getattr(col.type, "unit", "us")
+    vals = vals // 1000 if unit == "ns" else vals * {"s": 1_000_000, "ms": 1_000, "us": 1}[unit]
+    vals[~ok] = _NEG_INF
+    return vals, ok
+
+
 def _group_arrays(g: pa.Table):
     turns = g["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ts_col = g["ts"]
-    ts_valid = ~np.asarray(pc.is_null(ts_col).combine_chunks().to_numpy(zero_copy_only=False))
-    ts_us = np.full(len(turns), _NEG_INF, dtype=np.int64)
-    if ts_valid.any():
-        filled = pc.fill_null(ts_col, pa.scalar(0, type=ts_col.type))
-        vals = filled.cast(pa.int64()).combine_chunks().to_numpy(zero_copy_only=False)
-        ts_us[ts_valid] = vals[ts_valid]
+    ts_us, ts_valid = _ts_us(g["ts"])
     roles = g["role"].to_numpy(zero_copy_only=False) if "role" in g.schema.names else None
     return turns, ts_us, ts_valid, roles
 
@@ -248,65 +261,72 @@ class ConversationChecker:
         return _finish(rows, self.run_ts)
 
 
+_ROW_COLS = ("event_id", "field", "error_type", "expected", "actual", "event_name", "status", "event_data")
+
 
 class _VecRows:
-    """Vectorized violation-row accumulator (numpy object arrays, no per-row
-    Python appends)."""
+    """Vectorized violation-row accumulator: every column is kept as an Arrow
+    string array (no per-row Python appends)."""
 
     def __init__(self):
         self.parts: list[dict] = []
 
     def add(self, eid, field, etype, expected, actual, ename, status="error", payload=None):
-        eid = np.asarray(eid, dtype=object)
         n = len(eid)
         if n == 0:
             return
 
-        def arr(x):
-            if isinstance(x, (np.ndarray, list)):
-                return np.asarray(x, dtype=object)
-            if hasattr(x, "to_numpy"):
-                return x.to_numpy(dtype=object, na_value=None)
-            return np.full(n, x, dtype=object)
+        def arr(x) -> pa.Array:
+            if isinstance(x, pa.Array):
+                return x.cast(pa.string())
+            if x is None or isinstance(x, str):
+                return pa.array([x] * n, pa.string())
+            return pa.array(x, pa.string(), from_pandas=True)  # ndarray, list, Series
 
-        self.parts.append(
-            {
-                "event_id": eid,
-                "field": arr(field),
-                "error_type": arr(etype),
-                "expected": arr(expected),
-                "actual": arr(actual),
-                "event_name": arr(ename),
-                "status": arr(status),
-                "event_data": arr(payload),
-            }
-        )
+        cols = (eid, field, etype, expected, actual, ename, status, payload)
+        self.parts.append(dict(zip(_ROW_COLS, map(arr, cols))))
 
     def to_table(self, run_ts: _dt.datetime) -> pa.Table:
         ts_us = int(run_ts.timestamp() * 1_000_000)
         n = sum(len(p["event_id"]) for p in self.parts)
-        cols = ("event_id", "field", "error_type", "expected", "actual", "event_name", "status", "event_data")
-        cat = {
-            c: (np.concatenate([p[c] for p in self.parts]) if self.parts else np.empty(0, dtype=object))
-            for c in cols
-        }
         arrays = {}
         for name in VIOLATION_SCHEMA.names:
             typ = VIOLATION_SCHEMA.field(name).type
             if name == "timestamp":
                 arrays[name] = pa.array(np.full(n, ts_us, dtype=np.int64), type=typ)
-            elif name in cat:
-                arrays[name] = pa.array(cat[name], type=typ)
+            elif name in _ROW_COLS:
+                arrays[name] = pa.chunked_array([p[name] for p in self.parts], typ)
             else:
                 arrays[name] = pa.nulls(n, type=typ)
         return pa.table(arrays, schema=VIOLATION_SCHEMA)
 
 
+def _str(v, null=None) -> pa.Array:
+    """Integers -> decimal strings (null where ``null``)."""
+    return pc.cast(pa.array(v, mask=null), pa.string())
+
+
+def _segmented_prev_max(vals: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Per element, the max of the EARLIER elements of its segment (segments
+    start where ``first``); ``_NEG_INF`` for a segment's first element. One
+    cummax over (segment, dense rank) keys: every key of a segment exceeds
+    every key of the segments before it, so the running max never leaks
+    across a boundary."""
+    uniq, rank = np.unique(vals, return_inverse=True)
+    base = (np.cumsum(first) - 1) * len(uniq)
+    run = uniq[np.maximum.accumulate(base + rank) - base]  # running max in the segment
+    prev = np.r_[_NEG_INF, run[:-1]]
+    prev[first] = _NEG_INF
+    return prev
+
+
 class BucketChecker:
-    """Vectorized multi-conversation checker: one call processes a whole hash
-    bucket of conversations with pandas/numpy C kernels (groupby cummax /
-    shift), avoiding Ray's per-group UDF dispatch — ~50k tiny conversations
-    per second per core instead of ~5k.
+    """Vectorized multi-conversation checker: one call checks a whole
+    exchange bucket (an Arrow table) with sorted-array arithmetic, no
+    per-group dispatch. Conversation codes come from ``dictionary_encode``;
+    one ``lexsort`` by (conv, chunk, turn) lays out the slices and their
+    (conv, turn) groups, whose counts, max ts and min role are ``reduceat``
+    runs; ts order is a segmented prefix max over those groups.
 
     The mode comes from the input columns. Without a `chunk` column every
     group is one whole conversation. With the `chunk` (≥ 0) and `hot` columns
@@ -320,272 +340,146 @@ class BucketChecker:
         self.spec = spec
         self.run_ts = run_ts
 
-    def __call__(self, df) -> pa.Table:
-        import pandas as pd
-
-        spec = self.spec
-        ename = spec.event_name
-        order = spec.table.order
-        out = _VecRows()
-        has_role = "role" in df.columns
-        ts_name = order.ts_column if order else "ts"
-        has_ts = ts_name in df.columns
-
-        if not len(df):
+    def __call__(self, t: pa.Table) -> pa.Table:
+        spec, out = self.spec, _VecRows()
+        ename, order, first = spec.event_name, spec.table.order, spec.table.first_role
+        # defense in depth: _project drops unplaceable rows before the shuffle
+        t = t.filter(pc.and_(pc.is_valid(t["conv_id"]), pc.is_valid(t["turn_idx"])))
+        n = t.num_rows
+        if not n:
             return out.to_table(self.run_ts)
-
-        # single int64 composite group key: factorized conv_id (+ chunk)
-        # — every internal sort / groupby / merge runs on int keys; the string
-        # conv_id only materializes for the (small) violation/summary outputs
-        codes, conv_index = pd.factorize(df["conv_id"], sort=False)
-        if (codes < 0).any():
-            # defense in depth: _project drops NULL-conv rows before the
-            # shuffle, but a direct caller must not hit factorize's -1
-            # sentinel (conv_arr[-1] would misattribute to the LAST conv)
-            keep = codes >= 0
-            df = df[keep].reset_index(drop=True)
-            codes = codes[keep]
-            if not len(df):
-                return out.to_table(self.run_ts)
-        hot_conv = np.zeros(len(conv_index), dtype=bool)
-        if "chunk" in df.columns:
-            chunk_np = df["chunk"].to_numpy().astype(np.int64)
-            factor = int(chunk_np.max()) + 1
-            gkey = codes.astype(np.int64) * factor + chunk_np
-            hot_conv[codes[df["hot"].to_numpy(dtype=bool)]] = True
+        t = t.combine_chunks()
+        enc = pc.dictionary_encode(t["conv_id"].chunk(0))
+        names = enc.dictionary.cast(pa.string())
+        code = enc.indices.to_numpy().astype(np.int64)
+        hot_conv = np.zeros(len(names), dtype=bool)
+        if "chunk" in t.schema.names:
+            chunk = t["chunk"].to_numpy().astype(np.int64)
+            hot_conv[code[t["hot"].to_numpy()]] = True
         else:
-            factor = 1
-            gkey = codes.astype(np.int64)
-        any_hot = bool(hot_conv.any())
-        df = df.assign(_g=gkey)
-        conv_arr = np.asarray(conv_index, dtype=object)
+            chunk = np.zeros(n, dtype=np.int64)
+        turn = t["turn_idx"].to_numpy().astype(np.int64)
+        o = np.lexsort((turn, chunk, code))
+        code, chunk, turn = code[o], chunk[o], turn[o]
 
-        def conv_of(gvals) -> pd.Series:
-            return pd.Series(conv_arr[np.asarray(gvals, dtype=np.int64) // factor])
+        # slices (conv, chunk) and their turn groups (conv, chunk, turn_idx)
+        new_slice = np.r_[True, (code[1:] != code[:-1]) | (chunk[1:] != chunk[:-1])]
+        new_turn = new_slice | np.r_[True, turn[1:] != turn[:-1]]
+        ti = np.flatnonzero(new_turn)  # turn group -> its first row
+        tid = np.cumsum(new_turn) - 1  # row -> turn group
+        g_turn, g_code, g_first = turn[ti], code[ti], new_slice[ti]
+        g_hot = hot_conv[g_code]
+        si = np.flatnonzero(g_first)  # slice -> its min turn group
+        sid = np.cumsum(g_first) - 1  # turn group -> slice
 
-        def hot_of(gvals) -> np.ndarray:
-            return hot_conv[np.asarray(gvals, dtype=np.int64) // factor]
-
-        df = df.sort_values(["_g", "turn_idx"], kind="stable").reset_index(drop=True)
-        if has_ts:
-            s = pd.to_datetime(df[ts_name])
-            vals = s.astype("int64")
-            if str(s.dtype).startswith("datetime64[ns"):
-                vals = vals // 1000  # epoch MICROseconds everywhere
-            ts = vals.where(s.notna()).astype("float64")
-        else:
-            ts = pd.Series(np.nan, index=df.index)
-
-        # per-(group, turn) frame: count + max ts (C groupby)
-        key = ["_g", "turn_idx"]
-        agg = (
-            pd.DataFrame({"_g": df["_g"], "turn_idx": df["turn_idx"], "_ts": ts})
-            .groupby(key, sort=True)
-            .agg(n=("_ts", "size"), max_ts=("_ts", "max"))
-            .reset_index()
-        )
-        agg_hot = hot_of(agg["_g"])
-
-        def eid_of(frame) -> np.ndarray:
-            return (
-                conv_of(frame["_g"]).astype(str).to_numpy(dtype=object)
-                + ":"
-                + frame["turn_idx"].astype(str).to_numpy(dtype=object)
-            )
+        def eid(codes, turns) -> pa.Array:
+            return pc.binary_join_element_wise(names.take(codes), _str(turns), ":")
 
         if spec.table.unique:
-            dup = agg[agg["n"] > 1]
-            out.add(eid_of(dup), "turn_idx", "unique", "1", dup["n"].astype(str), ename)
+            cnt = np.diff(np.r_[ti, n])
+            m = cnt > 1
+            out.add(eid(g_code[m], g_turn[m]), "turn_idx", "unique", "1", _str(cnt[m]), ename)
 
-        gb = agg.groupby("_g", sort=False)
         if order and order.contiguous:
-            prev_turn = gb["turn_idx"].shift(1)
-            first_row = prev_turn.isna()
             # min turn of a whole conversation; phase 2 checks the hot ones
-            m = first_row & (agg["turn_idx"] != 0) & ~agg_hot
-            sel = agg[m]
-            out.add(eid_of(sel), "turn_idx", "order", "0", sel["turn_idx"].astype(str), ename)
-            m = (~first_row) & (agg["turn_idx"] - prev_turn > 1)
-            sel = agg[m]
-            out.add(
-                eid_of(sel),
-                "turn_idx",
-                "order",
-                (prev_turn[m].astype("int64") + 1).astype(str),
-                sel["turn_idx"].astype(str),
-                ename,
-            )
+            m = g_first & (g_turn != 0) & ~g_hot
+            out.add(eid(g_code[m], g_turn[m]), "turn_idx", "order", "0", _str(g_turn[m]), ename)
+            prev = np.r_[0, g_turn[:-1]]
+            m = ~g_first & (g_turn - prev > 1)
+            out.add(eid(g_code[m], g_turn[m]), "turn_idx", "order", _str(prev[m] + 1), _str(g_turn[m]), ename)
 
+        ts_name = order.ts_column if order else "ts"
+        has_ts = ts_name in t.schema.names
+        if has_ts:
+            ts, ts_ok = _ts_us(t[ts_name])
+            ts, ts_ok = ts[o], ts_ok[o]
         if order and order.ts_monotone and has_ts:
-            # prefix max of per-turn max ts over strictly smaller turns.
-            # fillna(-inf) first: pandas cummax leaves NaN at all-null turns,
-            # and shift(1) would then feed NaN prevmax to the next turn,
-            # silently masking real disorder there
-            filled = agg["max_ts"].fillna(float("-inf"))
-            cummax = filled.groupby(agg["_g"], sort=False).cummax()
-            agg["prevmax"] = cummax.groupby(agg["_g"], sort=False).shift(1)
-            joined = df.merge(agg[key + ["prevmax"]], on=key, how="left", sort=False)
-            m = ts.notna().to_numpy() & (ts.to_numpy() < joined["prevmax"].to_numpy())
-            sel = joined[m]
-            out.add(
-                eid_of(sel),
-                ts_name,
-                "order",
-                sel["prevmax"].astype("int64").astype(str),
-                ts[m].astype("int64").astype(str),
-                ename,
-            )
+            # prefix max of the per-turn max ts over STRICTLY smaller turns
+            row_prev = _segmented_prev_max(np.maximum.reduceat(ts, ti), g_first)[tid]
+            m = ts_ok & (ts < row_prev)
+            out.add(eid(code[m], turn[m]), ts_name, "order", _str(row_prev[m]), _str(ts[m]), ename)
 
-        alt_summary = None
-        if order and order.alternate and has_role:
-            # role-alternation (J4): the role of a DISTINCT turn is the MIN of
-            # its rows' non-null roles; violation when consecutive turns share
-            # a role from the alternate set
-            nn = df.dropna(subset=["role"])
-            tr = (
-                nn.groupby(key, sort=True)["role"].min().rename("turn_role").reset_index()
-            )
-            prev = tr.groupby("_g", sort=False)["turn_role"].shift(1)
-            m = (
-                tr["turn_role"].notna()
-                & prev.notna()
-                & (tr["turn_role"] == prev)
-                & tr["turn_role"].isin(order.alternate)
-            )
-            sel = tr[m]
-            out.add(
-                eid_of(sel),
-                "role",
-                "alt",
-                "alternating " + "|".join(order.alternate),
-                sel["turn_role"],
-                ename,
-            )
-            if any_hot:
-                g2 = tr[hot_of(tr["_g"])].groupby("_g", sort=False)
-                alt_summary = pd.DataFrame(
-                    {
-                        "alt_first_turn": g2["turn_idx"].first(),
-                        "alt_first_role": g2["turn_role"].first(),
-                        "alt_last_role": g2["turn_role"].last(),
-                    }
-                )
+        has_role = "role" in t.schema.names
+        if has_role:
+            # roles ranked in code-point (UTF-8 byte) order; a turn's role is
+            # the MIN of its rows' non-null roles, NONE when all are null
+            renc = pc.dictionary_encode(t["role"].chunk(0))
+            srt = pc.array_sort_indices(renc.dictionary)
+            by_rank = renc.dictionary.take(srt).cast(pa.string())
+            NONE = len(by_rank)
+            rank = np.full(NONE + 1, NONE, dtype=np.int64)
+            rank[srt.to_numpy()] = np.arange(NONE)
+            g_role = np.minimum.reduceat(rank[pc.fill_null(renc.indices, NONE).to_numpy()][o], ti)
 
-        first = spec.table.first_role
-        first_summary = None
+            def role_of(r) -> pa.Array:
+                return by_rank.take(pa.array(r, mask=r == NONE))
+
         if first and has_role:
-            min_turn = gb["turn_idx"].first().rename("min_turn")  # agg sorted by turn
-            heads = agg.merge(min_turn.reset_index(), on="_g", sort=False)
-            at_min = df.merge(
-                heads.loc[heads["turn_idx"] == heads["min_turn"], key],
-                on=key,
-                how="inner",
-                sort=False,
-            )
-            am = at_min.assign(_hit=at_min["role"].eq(first))
-            info = am.groupby("_g", sort=False).agg(
-                hit=("_hit", "any"), mturn=("turn_idx", "first")
-            )
-            # min over NON-NULL roles only, taken on sorted factorize codes:
-            # an object-dtype groupby min falls back to pandas' per-group
-            # Python loop; groups that are all-null stay absent -> None
-            rcodes, rvals = pd.factorize(am["role"], sort=True)
-            nn = rcodes >= 0
-            min_code = pd.Series(rcodes[nn]).groupby(am["_g"].to_numpy()[nn], sort=False).min()
-            min_role = pd.Series(
-                np.asarray(rvals, dtype=object)[min_code.to_numpy()],
-                index=min_code.index,
-                name="min_role",
-            )
-            info = info.join(min_role).reset_index()
-            info["min_role"] = info["min_role"].where(info["min_role"].notna(), None)
-            info_hot = hot_of(info["_g"])
-            bad = info[~info["hit"] & ~info_hot]
-            out.add(
-                (
-                    conv_of(bad["_g"]).astype(str).to_numpy(dtype=object)
-                    + ":"
-                    + bad["mturn"].astype(str).to_numpy(dtype=object)
-                ),
-                "role",
-                "ref",
-                f"first_role={first}",
-                bad["min_role"],
-                ename,
-            )
-            first_summary = info[info_hot].set_index("_g")[["hit", "min_role"]].rename(
-                columns={"hit": "first_ok"}
-            )
+            hit = pc.fill_null(pc.equal(t["role"], first), False).to_numpy(zero_copy_only=False)
+            g_hit = np.logical_or.reduceat(hit[o], ti)
+            m = g_first & ~g_hit & ~g_hot
+            out.add(eid(g_code[m], g_turn[m]), "role", "ref", f"first_role={first}", role_of(g_role[m]), ename)
 
-        if any_hot:
-            # one packed summary row per slice of a hot conversation
-            agg_h = agg[agg_hot].groupby("_g", sort=False)
-            row_hot = hot_of(df["_g"])
-            stats = pd.DataFrame(
-                {
-                    "min_turn": agg_h["turn_idx"].min(),
-                    "max_turn": agg_h["turn_idx"].max(),
-                    "max_ts": agg_h["max_ts"].max(),
-                    "min_ts": ts[row_hot].groupby(df["_g"][row_hot], sort=False).min(),
-                }
-            )
-            for extra in (first_summary, alt_summary):
-                if extra is not None:
-                    stats = stats.join(extra)
-            split_rows = df["chunk"].to_numpy() > 0
-            if order and order.ts_monotone and has_ts and split_rows.any():
-                # chunk>0 slices (the split tail, and the only possible ts
-                # suspects) carry their per-row (turn_idx, ts) CSVs so phase
-                # 2 can finalize cross-chunk ts checks without a corpus
-                # rescan; cold conversations are all chunk 0
-                tsub = ts.to_numpy()[split_rows]
-                vstr = np.where(
-                    np.isnan(tsub), "", np.nan_to_num(tsub).astype(np.int64).astype(str)
-                ).astype(object)
-                sub = pd.DataFrame(
-                    {
-                        "_g": df["_g"].to_numpy()[split_rows],
-                        "t": df["turn_idx"].to_numpy()[split_rows].astype(np.int64).astype(str),
-                        "v": vstr,
-                    }
-                )
-                stats = stats.join(
-                    sub.groupby("_g", sort=False).agg(
-                        ts_turns=("t", ",".join), ts_vals=("v", ",".join)
-                    )
-                )
-            eids, convs, payloads = _pack_summaries(stats, conv_arr, factor)
-            out.add(eids, None, "summary", None, None, convs, status="summary", payload=payloads)
+        alt = order is not None and bool(order.alternate) and has_role
+        if alt:
+            # consecutive role-bearing turns of a slice must not repeat a role
+            # of the alternate set; all-null turns are skipped
+            k = np.flatnonzero(g_role != NONE)
+            k_role, k_slice = g_role[k], sid[k]
+            k_first = np.r_[True, k_slice[1:] != k_slice[:-1]]
+            in_alt = pc.is_in(renc.dictionary, pa.array(order.alternate, renc.dictionary.type))
+            alt_ranks = rank[:NONE][in_alt.to_numpy(zero_copy_only=False)]
+            m = ~k_first & (k_role == np.r_[NONE, k_role[:-1]]) & np.isin(k_role, alt_ranks)
+            expected = "alternating " + "|".join(order.alternate)
+            out.add(eid(g_code[k][m], g_turn[k][m]), "role", "alt", expected, role_of(k_role[m]), ename)
+
+        hot_s = g_hot[si]
+        if not hot_s.any():
+            return out.to_table(self.run_ts)
+        # one packed summary row per slice of a hot conversation
+        rs = ti[si]  # slice -> its first row
+        f = dict.fromkeys(SUMMARY_FIELDS, pa.nulls(int(hot_s.sum()), pa.string()))
+        f["min_turn"] = _str(g_turn[si][hot_s])
+        f["max_turn"] = _str(g_turn[np.r_[si[1:], len(ti)] - 1][hot_s])
+        f["chunk"] = _str(chunk[rs][hot_s])
+        if has_ts:
+            mx = np.maximum.reduceat(ts, rs)[hot_s]
+            mn = np.minimum.reduceat(np.where(ts_ok, ts, np.iinfo(np.int64).max), rs)[hot_s]
+            f["max_ts"] = _str(mx, mx == _NEG_INF)
+            f["min_ts"] = _str(mn, ~np.logical_or.reduceat(ts_ok, rs)[hot_s])
+        if first and has_role:
+            f["first_ok"] = pa.array(np.where(g_hit[si][hot_s], "1", "0"))
+            f["min_role"] = role_of(g_role[si][hot_s])
+        if alt:
+            # each slice's first and last role-bearing turn (NONE: it has none)
+            k_last = np.r_[k_first[1:], True]
+            a_turn, a_first, a_last = np.zeros(len(si), np.int64), np.full(len(si), NONE), np.full(len(si), NONE)
+            a_turn[k_slice[k_first]] = g_turn[k][k_first]
+            a_first[k_slice[k_first]] = k_role[k_first]
+            a_last[k_slice[k_last]] = k_role[k_last]
+            f["alt_first_turn"] = _str(a_turn[hot_s], a_first[hot_s] == NONE)
+            f["alt_first_role"] = role_of(a_first[hot_s])
+            f["alt_last_role"] = role_of(a_last[hot_s])
+        split = hot_s & (chunk[rs] > 0)
+        if order and order.ts_monotone and has_ts and split.any():
+            # chunk>0 slices (the split tail, and the only possible ts
+            # suspects) carry their per-row (turn_idx, ts) CSVs so phase 2 can
+            # finalize cross-chunk ts checks without a corpus rescan; cold
+            # conversations are all chunk 0
+            rows = split[sid[tid]]
+            lens = np.where(split, np.diff(np.r_[rs, n]), 0)[hot_s]
+            offsets = pa.array(np.r_[0, np.cumsum(lens)], pa.int32())
+            vals = pc.fill_null(_str(ts[rows], ~ts_ok[rows]), "")
+            for name, col in (("ts_turns", _str(turn[rows])), ("ts_vals", vals)):
+                lists = pa.ListArray.from_arrays(offsets, col, mask=pa.array(~split[hot_s]))
+                f[name] = pc.binary_join(lists, ",")
+        payload = pc.binary_join_element_wise(
+            *f.values(), SUMMARY_SEP, null_handling="replace", null_replacement=""
+        )
+        convs = names.take(g_code[si][hot_s])
+        eids = pc.binary_join_element_wise(convs, f["chunk"], ":")
+        out.add(eids, None, "summary", None, None, convs, status="summary", payload=payload)
         return out.to_table(self.run_ts)
-
-
-def _pack_summaries(stats, conv_arr: np.ndarray, factor: int):
-    """Per-slice stats (indexed by the composite group key) -> the summary
-    rows' (event_id f"{conv}:{chunk}", conv, packed payload): SUMMARY_FIELDS
-    joined by SUMMARY_SEP, "" = null."""
-    import pandas as pd
-
-    gv = stats.index.to_numpy(dtype=np.int64)
-    stats = stats.reset_index(drop=True)
-    stats["chunk"] = gv % factor
-    cols = []
-    for c in SUMMARY_FIELDS:
-        if c not in stats.columns:
-            col = np.full(len(stats), "", dtype=object)
-        elif c == "first_ok":
-            col = np.where(stats[c].astype(bool), "1", "0").astype(object)
-        elif c in ("min_role", "alt_first_role", "alt_last_role", "ts_turns", "ts_vals"):
-            col = stats[c].fillna("").astype(str).to_numpy(dtype=object)
-        else:
-            v = pd.to_numeric(stats[c], errors="coerce").to_numpy(dtype="float64")
-            col = np.where(np.isnan(v), 0, v).astype(np.int64).astype(str).astype(object)
-            col[np.isnan(v)] = ""
-        cols.append(pd.Series(col))
-    payloads = cols[0].str.cat(cols[1:], sep=SUMMARY_SEP).to_numpy(dtype=object)
-    conv_vals = conv_arr[gv // factor]
-    chunk_str = cols[SUMMARY_FIELDS.index("chunk")].to_numpy()
-    eids = pd.Series(conv_vals).astype(str).to_numpy(dtype=object) + ":" + chunk_str
-    return eids, conv_vals, payloads
 
 
 def _project(ds, spec: Spec):
@@ -611,11 +505,12 @@ def _project(ds, spec: Spec):
     return projected.map_batches(drop_unplaceable, batch_format="pyarrow")
 
 
-def detect_skew(ds, chunk: int = 10_000) -> tuple[int, list]:
+def detect_skew(ds, chunk: int = CHUNK) -> tuple[int, list]:
     """(rows seen, hot set): the hot set is the sorted conv_ids of which
     some block holds at least `chunk` rows. Map-only (per-block value
     counts, no shuffle); the driver pull is bounded by Σ rows / `chunk`
-    + blocks (`sketches.local_frequency_candidates`)."""
+    + blocks (`sketches.local_frequency_candidates`). ``run_validation``
+    takes the same pair from its stage 1 instead."""
     from .sketches import local_frequency_candidates
 
     n_rows, pulled = local_frequency_candidates(ds, "conv_id", lambda _nb: chunk)
@@ -644,19 +539,24 @@ def _phase1(ds, spec: Spec, run_ts: _dt.datetime, hot: list, chunk: int):
         return t.append_column("chunk", salt).append_column("hot", is_hot)
 
     salted = _project(ds, spec).map_batches(add_salt, batch_format="pyarrow")
-    return exchange(salted, ["conv_id", "chunk"], BucketChecker(spec, run_ts))
+    return exchange(salted, ["conv_id", "chunk"], BucketChecker(spec, run_ts), batch_format="pyarrow")
 
 
 def conversation_violations(
     ds,
     spec: Spec,
     run_ts: _dt.datetime = DEFAULT_RUN_TS,
-    chunk: int = 10_000,
+    chunk: int = CHUNK,
+    skew: tuple[int, list] | None = None,
 ):
     """Per-conversation wide checks; no task holds more than about `chunk`
     rows of one hot conversation. Exact whatever the hot set holds: a cold
     conversation is checked whole in one group, and row count (not turn
     value) decides salting, so sparse gap conversations stay cold.
+
+    ``skew`` is the (rows, sorted hot set) pair of ``detect_skew``; a caller
+    that already holds it (``run_validation``'s stage 1) passes it in, and
+    ``ds`` then executes once.
 
     Phase 1 is keyed by (conv_id, chunk). Phase 2 runs only when the hot set
     is non-empty: it merges the hot conversations' packed summaries keyed by
@@ -665,7 +565,7 @@ def conversation_violations(
     import ray
     import ray.data as rd
 
-    n_rows, hot = detect_skew(ds, chunk)
+    n_rows, hot = skew if skew is not None else detect_skew(ds, chunk)
     if not n_rows:
         # an empty exchange output carries no schema
         return rd.from_arrow(VIOLATION_SCHEMA.empty_table())

@@ -528,23 +528,31 @@ def drift_report(
     return pd.DataFrame(rows)
 
 
+def frequent_values(col, need: int) -> pa.Array:
+    """The values of one block's Arrow column that occur at least
+    max(need, 1) times in it; nulls and NaN never qualify."""
+    vc = pc.value_counts(col)
+    vals = vc.field("values").filter(pc.greater_equal(vc.field("counts"), max(need, 1)))
+    if pa.types.is_floating(vals.type):
+        return vals.filter(pc.invert(pc.is_nan(vals)))  # a null is_nan drops too
+    return vals.drop_null()
+
+
 def local_frequency_candidates(ds, col: str, need) -> tuple[int, list]:
     """Map-only candidate pass: every value of `col` that one block holds at
-    least `need(block_rows)` times (never fewer than once). At most
+    least `need(block_rows)` times (``frequent_values``). At most
     block_rows / need values qualify per block, so the driver pull — one
     value per (block, qualifying value) plus one row count per block — is
     bounded by Σ rows / need + blocks, whatever the number of distinct
     values. Returns (rows seen, pulled values with duplicates across
-    blocks). Nulls never qualify."""
+    blocks)."""
 
     def local_candidates(t: pa.Table) -> pa.Table:
-        out_type = t.schema.field(col).type
-        counts = pd.Series(t[col].to_numpy(zero_copy_only=False)).value_counts()
-        cand = list(counts.index[counts.to_numpy() >= max(need(len(t)), 1)])
+        cand = frequent_values(t[col], need(len(t)))
         # the block's row count rides on a trailing null-value row
         return pa.table(
             {
-                col: pa.array(cand + [None], type=out_type),
+                col: pa.concat_arrays([cand, pa.nulls(1, cand.type)]),
                 "_rows": pa.array([0] * len(cand) + [len(t)], pa.int64()),
             }
         )

@@ -1,11 +1,16 @@
 """The one conversation path's hot set: which conversations get salted, that
 salting a hot conversation keeps the output equal to the per-conversation
-reference, that a corpus with no hot conversation skips phase 2, and that
-the hot-set driver pull stays within Σ rows / chunk + blocks."""
+reference, that a corpus with no hot conversation skips phase 2, that the
+hot-set driver pull stays within Σ rows / chunk + blocks, and that
+``run_validation`` takes the hot set from its stage 1 (kept in the manifest
+for resume) instead of a pass of its own."""
 
 import glob
 import os
+import shutil
 from collections import Counter
+
+import pytest
 
 import numpy as np
 import pyarrow as pa
@@ -166,3 +171,181 @@ def test_hot_set_driver_pull_within_bound(ray_session):
     assert n_rows == 2000
     assert 0 < len(pulled) <= n_rows // chunk
     assert cv.detect_skew(ds, chunk) == (n_rows, sorted(set(pulled)))
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_fuzz_hot_slices_match_reference_and_twin(ray_session, force_buckets, seed):
+    """Random conversations over two blocks at chunk=4, so most are hot and
+    split into slices: NULL ts and roles, duplicate and negative turns, gaps
+    and ts disorder. The output equals ConversationChecker and the DuckDB
+    twin (the twin alone for alternation)."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(seed)
+    base = 1_704_067_200_000_000
+    rows = []
+    for c in range(12):
+        n = int(rng.integers(1, 25))
+        turns = list(range(n))
+        if n > 2 and rng.random() < 0.5:
+            turns[int(rng.integers(1, n))] += int(rng.integers(2, 9))  # gap
+        if rng.random() < 0.5:
+            turns += [turns[int(rng.integers(0, n))]] * int(rng.integers(1, 3))  # duplicates
+        if rng.random() < 0.3:
+            turns = [t - int(rng.integers(1, 4)) for t in turns]  # negative head
+        for t in turns:
+            ts = base + t * 10_000_000 + int(rng.integers(0, 5))
+            if rng.random() < 0.15:
+                ts -= int(rng.integers(50, 400)) * 1_000_000  # disorder
+            rows.append(
+                (
+                    f"conv_{c:08d}",
+                    t,
+                    [None, "user", "assistant", "tool"][int(rng.integers(0, 4))],
+                    None if rng.random() < 0.1 else ts,
+                )
+            )
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    tbl = _table(*zip(*rows))
+    half = len(tbl) // 2
+    ds = rd.from_arrow([tbl.slice(0, half), tbl.slice(half)])
+    _, hot = cv.detect_skew(ds, 4)
+    assert len(hot) >= 3
+    force_buckets(4)
+    spec = transcript_spec()
+    got = _multiset(cv.conversation_violations(ds, spec, chunk=4).take_all())
+    assert got == _reference(tbl, spec) == _twin(tbl, spec)
+    spec = _alternating_spec()
+    assert _multiset(cv.conversation_violations(ds, spec, chunk=4).take_all()) == _twin(tbl, spec)
+
+
+def _hot_corpus(d: str) -> pa.Table:
+    """Three parquet files with every transcript column: ``conv_big`` (40
+    rows: a duplicate, a gap, a forward ts outlier, a NULL ts, a wrong first
+    role) fills the first; the others hold small conversations and three
+    more ``conv_big`` turns. Returns their concatenation."""
+    base = 1_704_067_200_000_000
+    turns = list(range(38)) + [5, 30]
+    turns[20] = 21
+    ts = [base + t * 1_000_000 for t in turns]
+    ts[3] = base + 10**12
+    ts[17] = None
+    roles = [["assistant", "user"][i % 2] for i in range(40)]
+    files = [
+        (["conv_big"] * 40, turns, roles, ts),
+        (
+            ["conv_a"] * 4 + ["conv_big"] * 3,
+            [0, 1, 3, 3, 38, 39, 40],
+            ["user", "assistant", "user", None, "user", "user", "assistant"],
+            [base, base + 1, base, None, base + 38_000_000, base, base + 40_000_000],
+        ),
+        (["conv_b"] * 5, [1, 2, 3, 4, 5], ["user"] * 5, [base + i for i in range(5)]),
+    ]
+    os.makedirs(d)
+    tables = []
+    for i, cols in enumerate(files):
+        t = _table(*cols)
+        t = t.append_column("text", pa.array(["x"] * len(t)))
+        t = t.append_column("tool", pa.nulls(len(t), pa.string()))
+        pq.write_table(t, os.path.join(d, f"t_{i}.parquet"))
+        tables.append(t)
+    return pa.concat_tables(tables)
+
+
+def _conversation_log(out: str) -> Counter:
+    return _multiset(pq.read_table(os.path.join(out, "violations", "conversation")).to_pylist())
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    """CHUNK = 10 for both stages, and the `skew` argument of each
+    conversation_violations call recorded."""
+    monkeypatch.setattr(cv, "CHUNK", 10)
+    skews = []
+    real = cv.conversation_violations
+
+    def spy(*args, **kwargs):
+        skews.append(kwargs.get("skew"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cv, "conversation_violations", spy)
+    return skews
+
+
+def test_run_validation_takes_hot_set_from_stage1(ray_session, tmp_path, monkeypatch, small_chunk):
+    """The conversation that fills one file is hot through run_validation:
+    stage 1 keeps it in that partition's manifest ``extra``, phase 2 runs,
+    and the log equals the per-conversation reference and the DuckDB twin.
+    Neither detect_skew nor any other candidate pass runs."""
+    from events_validator_ray.pipelines.validate_pipeline import run_validation
+    from events_validator_ray.stages import sketches
+    from events_validator_ray.state.manifest import Manifest
+
+    def separate_pass(*_a, **_k):
+        raise AssertionError("run_validation ran a hot-set pass of its own")
+
+    monkeypatch.setattr(cv, "detect_skew", separate_pass)
+    monkeypatch.setattr(sketches, "local_frequency_candidates", separate_pass)
+    reducers = []
+    real_exchange = cv.exchange
+
+    def exchange(ds, key, reduce_fn, **kwargs):
+        reducers.append(type(reduce_fn).__name__)
+        return real_exchange(ds, key, reduce_fn, **kwargs)
+
+    monkeypatch.setattr(cv, "exchange", exchange)
+    tbl = _hot_corpus(str(tmp_path / "in"))
+    out = str(tmp_path / "out")
+    spec = transcript_spec()
+    run_validation(str(tmp_path / "in"), out, spec, files_per_partition=1)
+
+    recs = Manifest(out).load()
+    assert [recs[p].extra["hot_convs"] for p in ("part_00000", "part_00001", "part_00002")] == [
+        ["conv_big"], [], []
+    ]
+    assert small_chunk == [(len(tbl), ["conv_big"])]
+    assert reducers == ["BucketChecker", "_Phase2Packed"]
+    got = _conversation_log(out)
+    assert got == _reference(tbl, spec) == _twin(tbl, spec)
+    assert {"unique", "order", "ref"} <= {k[2] for k in got}
+
+
+def test_resume_reads_hot_set_from_manifest(ray_session, tmp_path, small_chunk):
+    """A run that resumes with every stage-1 partition skipped passes the
+    same (rows, hot set) to the conversation stage and writes the same log
+    as the fresh run."""
+    from events_validator_ray.pipelines.validate_pipeline import run_validation
+
+    _hot_corpus(str(tmp_path / "in"))
+    out = str(tmp_path / "out")
+    spec = transcript_spec()
+    run_validation(str(tmp_path / "in"), out, spec, files_per_partition=1)
+    fresh = _conversation_log(out)
+    shutil.rmtree(os.path.join(out, "violations", "conversation"))
+    s = run_validation(str(tmp_path / "in"), out, spec, files_per_partition=1)
+    assert (s["executed"], s["skipped"]) == (1, 4)  # conversation; 3 partitions + profile
+    assert small_chunk[0] == small_chunk[1] and small_chunk[0][1] == ["conv_big"]
+    assert _conversation_log(out) == fresh
+
+
+def test_record_without_hot_candidates_is_rerun(ray_session, tmp_path, small_chunk):
+    """A done stage-1 record that lacks the hot candidates counts as not
+    done: its partition re-runs and the record gets them back."""
+    from events_validator_ray.pipelines.validate_pipeline import run_validation
+    from events_validator_ray.state.manifest import Manifest
+
+    _hot_corpus(str(tmp_path / "in"))
+    out = str(tmp_path / "out")
+    spec = transcript_spec()
+    run_validation(str(tmp_path / "in"), out, spec, files_per_partition=1)
+    fresh = _conversation_log(out)
+    m = Manifest(out)
+    rec = m.load()["part_00000"]
+    del rec.extra["hot_convs"]
+    m.append(rec)
+    shutil.rmtree(os.path.join(out, "violations", "conversation"))
+    s = run_validation(str(tmp_path / "in"), out, spec, files_per_partition=1)
+    assert s["executed"] == 2  # part_00000 and the conversation stage
+    assert Manifest(out).load()["part_00000"].extra["hot_convs"] == ["conv_big"]
+    assert small_chunk[1][1] == ["conv_big"]
+    assert _conversation_log(out) == fresh

@@ -128,7 +128,7 @@ def test_fuzz_conversation_checkers(ray_session, seed):
     spec = transcript_spec()
 
     key = lambda r: (r["event_id"], r["field"], r["error_type"], r["expected"], r["actual"])
-    got = Counter(key(r) for r in BucketChecker(spec)(df).to_pylist())
+    got = Counter(key(r) for r in BucketChecker(spec)(pa.Table.from_pandas(df, preserve_index=False)).to_pylist())
     want = Counter()
     for conv, g in df.groupby("conv_id"):
         tbl = pa.Table.from_pandas(g, preserve_index=False).select(

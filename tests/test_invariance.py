@@ -144,7 +144,7 @@ def test_bucket_checker_equals_per_conversation_reference(ray_session):
 
     got = Counter()
     bc = BucketChecker(spec)
-    for r in bc(df).to_pylist():
+    for r in bc(pa.Table.from_pandas(df, preserve_index=False)).to_pylist():
         got[(r["event_id"], r["field"], r["error_type"], r["expected"], r["actual"])] += 1
 
     want = Counter()

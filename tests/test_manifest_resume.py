@@ -93,6 +93,56 @@ def test_profile_merged_from_partition_sidecars(ray_session, tmp_path):
     assert len([p for p in parts if p.endswith(".pkl")]) >= 1
 
 
+def test_run_profile_one_partial_per_file(ray_session, tmp_path, monkeypatch):
+    """run_profile reads one block per file, as stage 1 does: two 10,009-row
+    files (above Ray's 10k-row reader batches) send SketchFold one partial
+    per file and (column, kind), and the profile.json it writes equals the
+    one run_validation writes for the same files."""
+    from collections import Counter
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from events_validator_ray.pipelines.validate_pipeline import run_profile
+    from events_validator_ray.stages import sketches
+
+    src = tmp_path / "in"
+    src.mkdir()
+    rng = np.random.default_rng(7)
+    n = 10_009
+    for i in range(2):
+        ts = 1_704_067_200_000_000 + rng.integers(0, 10**12, n)
+        tbl = pa.table(
+            {
+                "conv_id": [f"conv_{c:08d}" for c in rng.integers(0, 500, n)],
+                "turn_idx": pa.array(rng.integers(0, 30, n), pa.int32()),
+                "role": rng.choice(["user", "assistant", "tool"], n),
+                "text": ["x"] * n,
+                "tool": rng.choice(["search", "calc"], n),
+                "ts": pa.array(ts, pa.timestamp("us")),
+            }
+        )
+        pq.write_table(tbl, src / f"t_{i}.parquet")
+    partials = Counter()
+    real_add = sketches.SketchFold.add
+
+    def add(self, rows):
+        for col, kind, payload in zip(*(rows[c].to_pylist() for c in ("col", "kind", "payload"))):
+            if payload is not None:
+                partials[(col, kind)] += 1
+        real_add(self, rows)
+
+    monkeypatch.setattr(sketches.SketchFold, "add", add)
+    run_profile(str(src), str(tmp_path / "prof"))
+    assert len(partials) == 8 and set(partials.values()) == {2}
+    partials.clear()
+    run_validation(str(src), str(tmp_path / "val"), transcript_spec())
+    assert len(partials) == 8 and set(partials.values()) == {2}
+    with open(tmp_path / "prof" / "profile.json") as a, open(tmp_path / "val" / "profile.json") as b:
+        assert a.read() == b.read()
+
+
 def test_kill_and_resume_mid_run(tmp_path):
     """North-rule resume evidence: SIGKILL the runner once >=2 partitions have
     committed, resume, and verify completed partitions are skipped and the
@@ -167,8 +217,8 @@ def test_kill_and_resume_mid_run(tmp_path):
 
 def test_single_read_per_partition(ray_session, tmp_path, monkeypatch):
     """Judge round-2 item 4: stage 1 must issue exactly ONE read_parquet per
-    partition (sketch partials + counts come from the materialized blocks),
-    plus one for the conversation stage."""
+    partition (counts, hot candidates and sketch partials come from its one
+    map-only pass over the blocks), plus one for the conversation stage."""
     import ray.data as rd
 
     from events_validator_ray.pipelines.validate_pipeline import run_validation

@@ -234,7 +234,7 @@ def test_first_role_min_nulls_case_unicode():
         }
     )
     spec = transcript_spec()
-    got = BucketChecker(spec)(tbl.to_pandas()).to_pandas()
+    got = BucketChecker(spec)(tbl).to_pandas()
     first = got[got["error_type"] == "ref"].set_index("event_id")["actual"]
     assert first.to_dict() == {
         "c_case:0": "Assistant",
