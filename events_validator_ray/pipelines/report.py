@@ -100,10 +100,11 @@ def daily_error_rate(ds, approx: bool = False, hll_p: int = 14):
     n_error_events, error_rate) sorted by day.
 
     ``approx=True`` is the 10^12-turn path: per-batch mergeable HLL partials
-    per (day, total|error) replace the two-level distinct groupby — the
-    shuffle disappears entirely (one tiny partial row per block x day reaches
-    the driver; relative error ~1.04/sqrt(2^hll_p), ~0.8% at p=14, asserted
-    against the exact mode in tests/test_sketches.py)."""
+    per (day, total|error) replace the exchange over event ids; what still
+    shuffles is the partials, at most blocks x days x 2 rows, through one
+    ``groupby(["date_utc", "which"]).map_groups`` (relative error
+    ~1.04/sqrt(2^hll_p), ~0.8% at p=14, asserted against the exact mode in
+    tests/test_sketches.py)."""
     if approx:
         return _daily_error_rate_hll(ds, hll_p)
     from ..stages.exchange import exchange
@@ -182,10 +183,12 @@ def daily_error_rate(ds, approx: bool = False, hll_p: int = 14):
 
 
 def _daily_error_rate_hll(ds, hll_p: int):
-    """HLL-sketched distinct rates: a map-only pass emits one serialized HLL
-    partial per (block, day, which in {total, error}); the driver merges the
-    partials (blocks x days x 2 tiny rows — never the data, never a shuffle).
-    Same execution pattern as the sketch plane (stages/sketches.py)."""
+    """HLL-sketched distinct rates: a map pass emits one serialized HLL
+    partial per (block, day, which in {total, error}); a Ray shuffle
+    (``groupby(["date_utc", "which"]).map_groups``, a natural key) merges
+    them to one payload per (day, which), and the driver merges what it
+    pulls. The shuffle carries the partials (blocks x days x 2 tiny rows),
+    never the data."""
     import pickle
 
     import numpy as np

@@ -5,7 +5,9 @@ checkpoint manifest.
 Stage layout (all Ray-Data-native; raw Ray tasks are never needed):
 
 1. scalar stage — per input-file partition, ONE map-only pass:
-   ``read_parquet(files)`` -> one stateless ``map_batches(ScalarPass)`` that
+   ``read_parquet(files)`` with one read task per file (the log, the hot
+   candidates and the sketch partials are per file; ``run_profile`` reads
+   the same way) -> one stateless ``map_batches(ScalarPass)`` that
    validates each block, writes its log file into the partition's atomic tmp
    dir and returns counts, the block's hot-conversation candidates and
    sketch partials, folded on the driver as they stream in; then the
@@ -15,7 +17,10 @@ Stage layout (all Ray-Data-native; raw Ray tasks are never needed):
 2. conversation stage — the keyed exchange of ``stages/conversation.py``
    over the PROJECTED key columns (conv_id, turn_idx, ts, role — never
    `text`), with the hot set stage 1 proposed, so its input executes once;
-   written once, its own manifest record (resume skips it wholesale).
+   its input is read with one task per session CPU
+   (``sources/readers.py:read_parquet_per_cpu``), as the read-back of the
+   log is; written once, its own manifest record (resume skips it
+   wholesale).
 3. profile stage — mergeable sketches (stats/HLL/t-digest/cat-hist), partials
    merged to a JSON profile in the manifest directory; drift scored against a
    stored reference profile when provided.
@@ -41,6 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..sources.readers import read_parquet_per_cpu, read_violations_dir
 from ..spec import Spec
 from ..stages import conversation
 from ..stages.sketches import SketchFold, SketchPartials, drift_report, frequent_values, profile_table
@@ -264,7 +270,9 @@ def run_validation(
     else:
         t0 = time.time()
         final_dir = os.path.join(out_dir, "violations", "conversation")
-        ds = rd.read_parquet(files)
+        # one read task per CPU: the exchange re-blocks by bucket anyway, so
+        # a task per MiB would only add scheduling to every stage before it
+        ds = read_parquet_per_cpu(files)
         if conv_filter is not None:
             ds = conv_filter(ds)
         # small (violations only); count without re-reading
@@ -454,8 +462,6 @@ def run_profile(
 def read_violations(out_dir: str):
     # delegate to the documented S4 reader (sources/readers.py) so the
     # read-back plane has ONE implementation (date pushdown included)
-    from ..sources.readers import read_violations_dir
-
     return read_violations_dir(os.path.join(out_dir, "violations"))
 
 
@@ -466,11 +472,9 @@ def read_complete_log(run_dir: str):
     round must use as its merge base — reading the partial ``violations/``
     of a prior incremental run would silently drop every conversation that
     round left untouched."""
-    import ray.data as rd
-
     merged = os.path.join(run_dir, "violations_merged")
     if os.path.isdir(merged):
-        return rd.read_parquet(merged)
+        return read_parquet_per_cpu(merged)
     return read_violations(run_dir)
 
 

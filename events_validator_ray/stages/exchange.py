@@ -36,11 +36,16 @@ _NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
 _MIX = np.uint64(0x100000001B3)
 
 
-def bucket_count() -> int:
-    """4 × the running session's CPU count (never calls ``ray.init``)."""
+def session_cpus() -> int:
+    """The running session's CPU count, at least 1 (never calls ``ray.init``)."""
     import ray
 
-    return 4 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def bucket_count() -> int:
+    """4 × the running session's CPU count."""
+    return 4 * session_cpus()
 
 
 def canon_key_str(s: pd.Series) -> np.ndarray:

@@ -3,7 +3,8 @@ salting a hot conversation keeps the output equal to the per-conversation
 reference, that a corpus with no hot conversation skips phase 2, that the
 hot-set driver pull stays within Σ rows / chunk + blocks, and that
 ``run_validation`` takes the hot set from its stage 1 (kept in the manifest
-for resume) instead of a pass of its own."""
+for resume) instead of a pass of its own, and that its conversation read
+unifies files whose key columns drift in dtype."""
 
 import glob
 import os
@@ -349,3 +350,57 @@ def test_record_without_hot_candidates_is_rerun(ray_session, tmp_path, small_chu
     assert Manifest(out).load()["part_00000"].extra["hot_convs"] == ["conv_big"]
     assert small_chunk[1][1] == ["conv_big"]
     assert _conversation_log(out) == fresh
+
+
+def test_conversation_read_unifies_turn_idx_dtypes(ray_session, tmp_path, monkeypatch):
+    """Three files whose ``turn_idx`` is int32, int64 and float64, every
+    conversation spread over all three. With one session CPU they share one
+    read task of the conversation stage and arrive as one block; the log
+    equals ConversationChecker over the promoted table and the DuckDB twin
+    (which reads the integral turns as BIGINT, the engine's rendering). One
+    float64 turn is NULL, and one duplicates an int64 turn."""
+    from events_validator_ray.pipelines import validate_pipeline as vp
+    from events_validator_ray.stages import exchange
+
+    base = 1_704_067_200_000_000
+    os.makedirs(tmp_path / "in")
+    tables = []
+    for i, typ in enumerate([pa.int32(), pa.int64(), pa.float64()]):
+        rows = [(j, t) for j in range(6) for t in range(4)]
+        turns = [10 * i + t + (t == 3 and (j + i) % 3 == 0) for j, t in rows]
+        # duplicates within the int64 file and across int64 / float64
+        turns[1 * 4 + 2] -= i == 1
+        turns[5 * 4 + 0] -= 8 * (i == 2)
+        t = _table(
+            [f"c{j}" for j, _ in rows],
+            [None if (i, j, t) == (2, 4, 2) else v for (j, t), v in zip(rows, turns)],
+            [["user", "assistant"][(t + (j == i)) % 2] for j, t in rows],
+            [base + t * 1_000_000 + (j == 2 and t == 1) * 10**9 for j, t in rows],
+        )
+        t = t.set_column(1, "turn_idx", t["turn_idx"].cast(typ))
+        t = t.append_column("text", pa.array(["x"] * len(t)))
+        t = t.append_column("tool", pa.nulls(len(t), pa.string()))
+        pq.write_table(t, str(tmp_path / "in" / f"t_{i}.parquet"))
+        tables.append(t)
+    monkeypatch.setattr(exchange, "session_cpus", lambda: 1)
+    reads = []
+    real_read = vp.read_parquet_per_cpu
+
+    def read(paths, **kwargs):
+        ds = real_read(paths, **kwargs).materialize()
+        reads.append((ds.num_blocks(), ds.schema().base_schema.field("turn_idx").type))
+        return ds
+
+    monkeypatch.setattr(vp, "read_parquet_per_cpu", read)
+    out = str(tmp_path / "out")
+    spec = transcript_spec()
+    vp.run_validation(str(tmp_path / "in"), out, spec, files_per_partition=1)
+
+    assert reads == [(1, pa.float64())]
+    tbl = pa.concat_tables(tables, promote_options="permissive")
+    as_int = tbl.set_column(1, "turn_idx", tbl["turn_idx"].cast(pa.int64()))
+    got = _conversation_log(out)
+    # the engine drops NULL-turn rows before checking; so does the twin
+    placed = tbl.filter(pc.is_valid(tbl["turn_idx"]))
+    assert got == _reference(placed, spec) == _twin(as_int, spec)
+    assert sum(got.values()) > 40 and {"unique", "order", "ref"} <= {k[2] for k in got}

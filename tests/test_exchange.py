@@ -358,6 +358,54 @@ def test_no_hash_bucket_shuffle_outside_exchange():
     assert found == []
 
 
+#: the `read_parquet` calls of the read modules that are not the per-CPU
+#: helper: the helper itself and the transcript read that passes a caller's
+#: projection through
+READ_PARQUET_SITES = {
+    ("sources/readers.py", "read_parquet_per_cpu"),
+    ("sources/readers.py", "read_transcripts"),
+}
+#: the per-file reads: stage 1 (one log file, hot-candidate list and sketch
+#: partial per input file) and `run_profile` (one partial per file, so its
+#: profile.json equals run_validation's)
+PER_FILE_READS = {
+    ("pipelines/validate_pipeline.py", "run_validation"),
+    ("pipelines/validate_pipeline.py", "run_profile"),
+}
+
+
+def _one_task_per_file(call: ast.Call) -> bool:
+    n = {k.arg: k.value for k in call.keywords}.get("override_num_blocks")
+    return (
+        isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) == "len"
+        and bool(call.args)
+        and ast.dump(n.args[0]) == ast.dump(call.args[0])
+    )
+
+
+def test_log_and_conversation_reads_use_one_task_per_cpu():
+    """In `sources/readers.py` and `pipelines/validate_pipeline.py` every
+    `read_parquet(` outside the listed sites goes through
+    `read_parquet_per_cpu`; in the two per-file functions the only bare
+    read is `override_num_blocks=len(files)` over its own file list, so the
+    conversation read beside stage 1 cannot slip back to Ray's default."""
+    root = pathlib.Path(events_validator_ray.__file__).parent
+    found, per_file = [], set()
+    for rel in ("sources/readers.py", "pipelines/validate_pipeline.py"):
+        for top in ast.parse((root / rel).read_text()).body:
+            site = (rel, getattr(top, "name", ""))
+            for n in ast.walk(top):
+                if not (isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "read_parquet"):
+                    continue
+                if site in PER_FILE_READS and _one_task_per_file(n):
+                    per_file.add(site)
+                elif site not in READ_PARQUET_SITES:
+                    found.append(f"{rel}:{n.lineno} read_parquet(")
+    assert found == []
+    assert per_file == PER_FILE_READS
+
+
 def test_tdigest_merge_order_is_canonical(ray_session, force_buckets):
     """The per-key digest merge sorts its partials, so reversing the block
     order (which reverses the order the exchange delivers them) changes

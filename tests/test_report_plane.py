@@ -1,17 +1,22 @@
 """The report plane (`pipelines/report.py`): failures_by_day and
 worst_offenders fold per-block counts on the driver and must equal their
 DuckDB twins, whatever the fold window; empty inputs keep a typed schema;
-and every Arrow day string (`windows.utc_day`) equals DuckDB's strftime."""
+every Arrow day string (`windows.utc_day`) equals DuckDB's strftime; and the
+log read-back (`sources/readers.py:read_parquet_per_cpu`) reads one block
+per session CPU, never more than one per file, and exactly Ray's files."""
 
 import datetime as dt
+import os
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from events_validator_ray.pipelines import report
+from events_validator_ray.sources import readers
 from events_validator_ray.stages.validate import VIOLATION_SCHEMA
 from events_validator_ray.stages.windows import utc_day
 
@@ -157,3 +162,69 @@ def test_utc_day_matches_duckdb_strftime(ray_session, tz):
     assert utc_day(ts).to_pylist() == want
     dated = report._with_date(rd.from_arrow(pa.table({"timestamp": ts}))).take_all()
     assert [r["date_utc"] for r in dated] == want
+
+
+def _write_log(root, n_files: int) -> list[pa.Table]:
+    """`_log_blocks` cut into ``n_files`` parquet files over two partition
+    dirs, plus a leftover ``.tmp_*`` dir and ``_``-prefixed files that a
+    read must skip. Returns the tables of the files that count."""
+    rows = pa.concat_tables(_log_blocks())
+    step = -(-len(rows) // n_files)
+    tables = [rows.slice(i * step, step) for i in range(n_files)]
+    for i, t in enumerate(tables):
+        part = os.path.join(root, f"part_{i % 2:05d}")
+        os.makedirs(part, exist_ok=True)
+        pq.write_table(t, os.path.join(part, f"{i:03d}.parquet"))
+    os.makedirs(os.path.join(root, ".tmp_part_00002_x"))
+    pq.write_table(rows, os.path.join(root, ".tmp_part_00002_x", "000.parquet"))
+    pq.write_table(rows, os.path.join(root, "part_00000", "_partial.parquet"))
+    pq.write_table(rows, os.path.join(root, "_extra.parquet"))
+    return tables
+
+
+@pytest.mark.parametrize("n_files,blocks", [(12, 4), (3, 3)])
+def test_log_read_is_one_block_per_cpu(ray_session, tmp_path, n_files, blocks):
+    """In the 4-CPU session a 12-file log reads as 4 blocks and a 3-file
+    log as 3 (never a file split). The hidden and ``_``-prefixed files are
+    neither listed nor read, and the listing is the one Ray's own directory
+    read uses."""
+    import ray.data as rd
+
+    tables = _write_log(tmp_path, n_files)
+    files = readers.parquet_files(str(tmp_path))
+    assert len(files) == n_files and files == sorted(files)
+    ray_paths = {r["path"] for r in rd.read_parquet(str(tmp_path), include_paths=True).take_all()}
+    assert ray_paths == set(files)
+    log = readers.read_violations_dir(str(tmp_path)).materialize()
+    assert log.num_blocks() == blocks
+    assert log.count() == sum(len(t) for t in tables)
+    one = readers.read_parquet_per_cpu(files[0]).materialize()
+    assert one.num_blocks() == 1 and one.count() == len(tables[0])
+
+
+def test_report_over_log_read_matches_twins(ray_session, tmp_path):
+    """failures_by_day, worst_offenders and the exact daily_error_rate over
+    the read-back of a 12-file log equal their DuckDB twins."""
+    tables = _write_log(tmp_path, 12)
+    log = readers.read_violations_dir(str(tmp_path)).materialize()
+
+    def twin(sql: str) -> list:
+        df = _twin(sql, tables)
+        return df.astype(object).where(df.notna(), None).values.tolist()
+
+    assert _frame(report.failures_by_day(log)).values.tolist() == twin(
+        f"SELECT {TWIN_DAY} AS date_utc, field, COUNT(*) AS n_failures FROM log "
+        "WHERE status = 'error' GROUP BY ALL ORDER BY date_utc, field NULLS LAST"
+    )
+    assert _frame(report.worst_offenders(log, k=7)).values.tolist() == twin(
+        "SELECT field, error_type, COUNT(*) AS n FROM log WHERE status = 'error' "
+        "GROUP BY ALL ORDER BY n DESC, field NULLS LAST, error_type LIMIT 7"
+    )
+    rate = report.daily_error_rate(log)
+    want = twin(
+        f"SELECT {TWIN_DAY} AS date_utc, COUNT(DISTINCT event_id) AS n_events, "
+        "COUNT(DISTINCT event_id) FILTER (WHERE status = 'error') AS n_error_events "
+        "FROM log GROUP BY ALL ORDER BY date_utc"
+    )
+    assert rate[["date_utc", "n_events", "n_error_events"]].values.tolist() == want
+    assert rate["error_rate"].tolist() == [round(100.0 * e / n, 6) for _, n, e in want]
