@@ -17,7 +17,7 @@ Stage layout (all Ray-Data-native; raw Ray tasks are never needed):
 2. conversation stage — the keyed exchange of ``stages/conversation.py``
    over the PROJECTED key columns (conv_id, turn_idx, ts, role — never
    `text`), with the hot set stage 1 proposed, so its input executes once;
-   its input is read with one task per session CPU
+   its input is read as one block per session CPU
    (``sources/readers.py:read_parquet_per_cpu``), as the read-back of the
    log is; written once, its own manifest record (resume skips it
    wholesale).
@@ -270,8 +270,8 @@ def run_validation(
     else:
         t0 = time.time()
         final_dir = os.path.join(out_dir, "violations", "conversation")
-        # one read task per CPU: the exchange re-blocks by bucket anyway, so
-        # a task per MiB would only add scheduling to every stage before it
+        # one block per CPU: the exchange re-blocks by bucket anyway, so a
+        # block per MiB would only add scheduling to every stage before it
         ds = read_parquet_per_cpu(files)
         if conv_filter is not None:
             ds = conv_filter(ds)

@@ -6,7 +6,7 @@ bucket (S2/S5-S8) and BigQuery read-back (S4). Batch equivalents:
 - transcripts / any table: `read_parquet` with column pruning + predicate
   pushdown (the S4 read-back analog too — the violations sink IS parquet)
 - violation logs and the conversation stage's input: `read_parquet_per_cpu`,
-  one read task per session CPU rather than Ray's one per MiB
+  one block per session CPU rather than Ray's one read task per MiB
 - raw JSON event corpora: `read_json` + envelope normalization (S1 analog —
   one JSON document per line replaces one per HTTP POST)
 - spec directory: sources/specs.py (S2/S5-S8)
@@ -15,7 +15,6 @@ bucket (S2/S5-S8) and BigQuery read-back (S4). Batch equivalents:
 from __future__ import annotations
 
 import json
-import os
 from typing import Any
 
 import pyarrow as pa
@@ -34,44 +33,20 @@ def read_transcripts(path: str, columns: list[str] | None = None, filter_expr: A
     return rd.read_parquet(path, **kwargs)
 
 
-def parquet_files(paths: str | list[str]) -> list[str]:
-    """The ``.parquet`` files under ``paths`` by the rule Ray's
-    ``read_parquet`` lists a directory with: recursively, in sorted order,
-    skipping every path below it that has a part starting with ``.`` or
-    ``_`` (atomic-write ``.tmp_*`` dirs, ``_SUCCESS`` markers); a file path
-    is one file. Local paths."""
-    out: list[str] = []
-    for path in [paths] if isinstance(paths, str) else paths:
-        if not os.path.isdir(path):
-            out.append(path)
-            continue
-        found = []
-        for root, dirs, names in os.walk(path):
-            dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
-            found += [
-                os.path.join(root, n)
-                for n in names
-                if n.endswith(".parquet") and not n.startswith((".", "_"))
-            ]
-        out += sorted(found)
-    return out
-
-
 def read_parquet_per_cpu(paths: str | list[str], **read_kwargs):
-    """``read_parquet`` with one read task per session CPU (never more than
-    one per file, which would make Ray split files), not Ray's default of
-    about one per MiB: each task costs every downstream stage a few ms of
-    scheduling, which many small blocks never amortize. A path with no
-    ``.parquet`` file under it keeps Ray's own behaviour."""
+    """``read_parquet`` asking for one block per session CPU
+    (``override_num_blocks``), not Ray's default of about one read task per
+    MiB: each block costs every downstream stage a few ms of scheduling,
+    which many small blocks never amortize. Ray keeps its own listing and
+    its own empty- and missing-path errors. With no Ray session running it
+    reads with Ray's default (the CPU count needs a session)."""
+    import ray
     import ray.data as rd
 
     from ..stages.exchange import session_cpus
 
-    files = parquet_files(paths)
-    if not files:
-        return rd.read_parquet(paths, **read_kwargs)
-    blocks = min(len(files), session_cpus())
-    return rd.read_parquet(files, override_num_blocks=blocks, **read_kwargs)
+    blocks = session_cpus() if ray.is_initialized() else None
+    return rd.read_parquet(paths, override_num_blocks=blocks, **read_kwargs)
 
 
 def read_json_events(
@@ -125,8 +100,9 @@ def read_json_events(
 def read_violations_dir(path: str, date_from: str | None = None, date_to: str | None = None):
     """Violations read-back with date-range predicate pushdown — the
     reporting plane's input (the reference queries BigQuery for a date range,
-    validation_report.py:31-43). One read task per session CPU
-    (``read_parquet_per_cpu``)."""
+    validation_report.py:31-43). One block per session CPU
+    (``read_parquet_per_cpu``), or Ray's default read when no Ray session
+    is running."""
     import datetime as _dt
 
     import pyarrow.compute as pc

@@ -2,11 +2,14 @@
 worst_offenders fold per-block counts on the driver and must equal their
 DuckDB twins, whatever the fold window; empty inputs keep a typed schema;
 every Arrow day string (`windows.utc_day`) equals DuckDB's strftime; and the
-log read-back (`sources/readers.py:read_parquet_per_cpu`) reads one block
-per session CPU, never more than one per file, and exactly Ray's files."""
+log read-back (`sources/readers.py:read_parquet_per_cpu`) asks Ray for one
+block per session CPU, reads the files Ray lists, and still reads with no
+Ray session running."""
 
 import datetime as dt
 import os
+import subprocess
+import sys
 
 import duckdb
 import numpy as np
@@ -164,48 +167,66 @@ def test_utc_day_matches_duckdb_strftime(ray_session, tz):
     assert [r["date_utc"] for r in dated] == want
 
 
-def _write_log(root, n_files: int) -> list[pa.Table]:
+def _write_log(root, n_files: int) -> dict[str, pa.Table]:
     """`_log_blocks` cut into ``n_files`` parquet files over two partition
     dirs, plus a leftover ``.tmp_*`` dir and ``_``-prefixed files that a
-    read must skip. Returns the tables of the files that count."""
+    read must skip. Returns the files that count, path -> table."""
     rows = pa.concat_tables(_log_blocks())
     step = -(-len(rows) // n_files)
-    tables = [rows.slice(i * step, step) for i in range(n_files)]
-    for i, t in enumerate(tables):
+    files = {}
+    for i in range(n_files):
         part = os.path.join(root, f"part_{i % 2:05d}")
         os.makedirs(part, exist_ok=True)
-        pq.write_table(t, os.path.join(part, f"{i:03d}.parquet"))
+        files[os.path.join(part, f"{i:03d}.parquet")] = rows.slice(i * step, step)
+    for path, t in files.items():
+        pq.write_table(t, path)
     os.makedirs(os.path.join(root, ".tmp_part_00002_x"))
     pq.write_table(rows, os.path.join(root, ".tmp_part_00002_x", "000.parquet"))
     pq.write_table(rows, os.path.join(root, "part_00000", "_partial.parquet"))
     pq.write_table(rows, os.path.join(root, "_extra.parquet"))
-    return tables
+    return files
 
 
-@pytest.mark.parametrize("n_files,blocks", [(12, 4), (3, 3)])
-def test_log_read_is_one_block_per_cpu(ray_session, tmp_path, n_files, blocks):
-    """In the 4-CPU session a 12-file log reads as 4 blocks and a 3-file
-    log as 3 (never a file split). The hidden and ``_``-prefixed files are
-    neither listed nor read, and the listing is the one Ray's own directory
-    read uses."""
-    import ray.data as rd
-
-    tables = _write_log(tmp_path, n_files)
-    files = readers.parquet_files(str(tmp_path))
-    assert len(files) == n_files and files == sorted(files)
-    ray_paths = {r["path"] for r in rd.read_parquet(str(tmp_path), include_paths=True).take_all()}
-    assert ray_paths == set(files)
+@pytest.mark.parametrize("n_files,blocks", [(12, 4), (3, 6), (1, 4)])
+def test_log_read_block_counts(ray_session, tmp_path, n_files, blocks):
+    """The read asks for 4 blocks in the 4-CPU session. Ray reads with
+    min(files, 4) tasks and splits each task's output until there are at
+    least 4 blocks: 12 files read as 4 blocks, 3 files as 3 tasks x 2, one
+    file as 4. The ``.tmp_*`` dir and ``_``-prefixed files are neither read
+    nor counted."""
+    files = _write_log(tmp_path, n_files)
     log = readers.read_violations_dir(str(tmp_path)).materialize()
     assert log.num_blocks() == blocks
-    assert log.count() == sum(len(t) for t in tables)
-    one = readers.read_parquet_per_cpu(files[0]).materialize()
-    assert one.num_blocks() == 1 and one.count() == len(tables[0])
+    assert log.count() == sum(len(t) for t in files.values())
+    read = readers.read_parquet_per_cpu(str(tmp_path), include_paths=True).take_all()
+    assert {r["path"] for r in read} == set(files)
+
+
+def test_log_read_without_ray_session(ray_session, tmp_path):
+    """A script that has not started Ray can still read a log back: the
+    helper then leaves the block count to Ray, whose read starts (here:
+    joins) a session."""
+    files = _write_log(tmp_path, 3)
+    code = (
+        "import sys, ray\n"
+        "from events_validator_ray.sources.readers import read_violations_dir\n"
+        "assert not ray.is_initialized()\n"
+        "print(read_violations_dir(sys.argv[1]).count())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert int(out.stdout.split()[-1]) == sum(len(t) for t in files.values())
 
 
 def test_report_over_log_read_matches_twins(ray_session, tmp_path):
     """failures_by_day, worst_offenders and the exact daily_error_rate over
     the read-back of a 12-file log equal their DuckDB twins."""
-    tables = _write_log(tmp_path, 12)
+    tables = list(_write_log(tmp_path, 12).values())
     log = readers.read_violations_dir(str(tmp_path)).materialize()
 
     def twin(sql: str) -> list:

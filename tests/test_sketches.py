@@ -223,8 +223,9 @@ def test_spec_file_fixtures():
 
 def test_daily_error_rate_approx_matches_exact_sf01(ray_session):
     """Round-3 item 4: the HLL-sketched daily_error_rate (HLL partials per
-    block and day, merged through a shuffle of the partials only) tracks the exact two-level distinct groupby within the HLL error
-    envelope on the sf0.1 corpus."""
+    block and day, merged through a shuffle of the partials only) tracks
+    the exact two-level distinct groupby within the HLL error envelope on
+    the sf0.1 corpus."""
     from events_validator_ray.pipelines.queries import _read_transcripts
     from events_validator_ray.pipelines.report import daily_error_rate
     from events_validator_ray.spec import transcript_spec
