@@ -34,11 +34,26 @@ def _with_date(ds):
     return ds.map_batches(add_date, batch_format="pyarrow")
 
 
-def _sum_counts(parts: list[pa.Table], keys: list[str], n: str) -> pa.Table:
+def _sum_counts(parts: list[pa.Table], keys: list[str], *cols: str) -> pa.Table:
     t = pa.concat_tables(parts, promote_options="default")
-    return t.group_by(keys, use_threads=False).aggregate([(n, "sum")]).select(
-        [*keys, f"{n}_sum"]
-    ).rename_columns([*keys, n])
+    sums = [f"{c}_sum" for c in cols]
+    return t.group_by(keys, use_threads=False).aggregate([(c, "sum") for c in cols]).select(
+        [*keys, *sums]
+    ).rename_columns([*keys, *cols])
+
+
+#: the exact and approximate daily_error_rate's day counts
+_RATE_COUNTS = pa.schema(
+    [("date_utc", pa.string()), ("n_events", pa.int64()), ("n_error_events", pa.int64())]
+)
+
+
+def _rate_frame(t: pa.Table):
+    """``t`` (``_RATE_COUNTS``) as a pandas frame with ``error_rate`` added;
+    typed even when empty."""
+    out = t.to_pandas()
+    out["error_rate"] = (100.0 * out["n_error_events"] / out["n_events"]).round(6)
+    return out
 
 
 def _error_counts(ds, keys: list[str], n: str, order, k: int | None = None):
@@ -127,59 +142,38 @@ def daily_error_rate(ds, approx: bool = False, hll_p: int = 14):
         )
         return t2.group_by(["date_utc", "event_id"]).aggregate([("is_error", "max")])
 
-    def pair_dedup_day_partials(g):
-        import pandas as pd
-
+    def pair_dedup_day_partials(t: pa.Table) -> pa.Table:
         # exact global dedup (all copies of a pair share the bucket), then
         # per-bucket per-day partial counts — the final shuffle carries
-        # buckets × days rows, never the event table
-        d = (
-            g.groupby(["date_utc", "event_id"], sort=False)["is_error_max"]
-            .max()
-            .reset_index()
+        # buckets × days rows, never the event table. A NULL event_id is no
+        # event (COUNT(DISTINCT) skips it).
+        if t["event_id"].null_count:
+            t = t.filter(pc.is_valid(t["event_id"]))
+        d = t.group_by(["date_utc", "event_id"], use_threads=False).aggregate(
+            [("is_error_max", "max")]
         )
-        out = (
-            d.groupby("date_utc", sort=False)
-            .agg(_n=("event_id", "size"), _e=("is_error_max", "sum"))
-            .reset_index()
+        out = d.group_by("date_utc", use_threads=False).aggregate(
+            [([], "count_all"), ("is_error_max_max", "sum")]
         )
-        out["_n"] = out["_n"].astype("int64")
-        out["_e"] = out["_e"].astype("int64")
-        return out
+        return out.select(["date_utc", "count_all", "is_error_max_max_sum"]).rename_columns(
+            _RATE_COUNTS.names
+        )
 
     # keyed by event_id alone: every copy of a (date, event) pair shares the
     # bucket (sufficient for exact dedup)
     deduped = with_date.map_batches(batch_dedup, batch_format="pyarrow")
-    partials = exchange(deduped, "event_id", pair_dedup_day_partials)
-
-    import pandas as pd
+    partials = exchange(deduped, "event_id", pair_dedup_day_partials, batch_format="pyarrow")
 
     # final day sum on the driver: the pull is ≤ bucket_count() × days tiny rows
     # (the HLL path's bound class). A Ray groupby(date).aggregate here
     # measured 28.4s over 359k partial rows / 2136 day groups vs 0.25s for
-    # this pull — the sort-aggregate cost, not data volume.
-    pdf = partials.to_pandas()
-    if pdf.empty:
-        # the guard must run BEFORE the groupby: an empty/fully-filtered log
-        # loses its columns at to_pandas (the documented Ray empty-Dataset
-        # hazard) and pdf.groupby('date_utc') would KeyError
-        return pd.DataFrame(
-            {
-                "date_utc": pd.Series([], dtype=object),
-                "n_events": pd.Series([], dtype="int64"),
-                "n_error_events": pd.Series([], dtype="int64"),
-                "error_rate": pd.Series([], dtype="float64"),
-            }
-        )
-    out = (
-        pdf.groupby("date_utc", sort=False)[["_n", "_e"]]
-        .sum()
-        .reset_index()
-        .rename(columns={"_n": "n_events", "_e": "n_error_events"})
+    # this pull — the sort-aggregate cost, not data volume. An empty or
+    # block-less log pulls nothing and still gives the typed frame.
+    parts = list(partials.iter_batches(batch_size=None, batch_format="pyarrow"))
+    counts = _sum_counts(
+        [_RATE_COUNTS.empty_table(), *parts], ["date_utc"], "n_events", "n_error_events"
     )
-    out["n_error_events"] = out["n_error_events"].astype("int64")
-    out["error_rate"] = (100.0 * out["n_error_events"] / out["n_events"]).round(6)
-    return out.sort_values("date_utc").reset_index(drop=True)
+    return _rate_frame(counts.sort_by("date_utc"))
 
 
 def _daily_error_rate_hll(ds, hll_p: int):
@@ -262,17 +256,6 @@ def _daily_error_rate_hll(ds, hll_p: int):
         else:
             merged[key] = hll
     days = sorted({d for d, _ in merged})
-    if not days:
-        # typed empty frame matching the exact path's contract (a bare
-        # pd.DataFrame of empty lists defaults every column to float64)
-        return pd.DataFrame(
-            {
-                "date_utc": pd.Series([], dtype=object),
-                "n_events": pd.Series([], dtype="int64"),
-                "n_error_events": pd.Series([], dtype="int64"),
-                "error_rate": pd.Series([], dtype="float64"),
-            }
-        )
     n_ev = [int(round(merged[(d, "total")].estimate())) for d in days]
     n_err = [
         # the two sketches estimate independently; clamp so a day where every
@@ -283,9 +266,7 @@ def _daily_error_rate_hll(ds, hll_p: int):
         )
         for d, tot in zip(days, n_ev)
     ]
-    out = pd.DataFrame({"date_utc": days, "n_events": n_ev, "n_error_events": n_err})
-    out["error_rate"] = (100.0 * out["n_error_events"] / out["n_events"]).round(6)
-    return out.reset_index(drop=True)
+    return _rate_frame(pa.table([days, n_ev, n_err], schema=_RATE_COUNTS))
 
 
 def unique_event_names(ds):

@@ -159,6 +159,15 @@ def _ts_us(col) -> tuple[np.ndarray, np.ndarray]:
     return vals, ok
 
 
+def _placeable(t: pa.Table) -> pa.Table:
+    """``t`` without its rows with a NULL conv_id or NULL turn_idx: they
+    cannot be placed in the uniqueness/order lattice (numpy would read a
+    NULL turn as INT64_MIN, and a dictionary code would misattribute a NULL
+    conv); each is already a scalar-plane type violation. The SQL twin
+    excludes them symmetrically (sqlgen.conversation_violations_sql)."""
+    return t.filter(pc.and_(pc.is_valid(t["conv_id"]), pc.is_valid(t["turn_idx"])))
+
+
 def _group_arrays(g: pa.Table):
     turns = g["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
     ts_us, ts_valid = _ts_us(g["ts"])
@@ -240,9 +249,12 @@ class ConversationChecker:
         self.__name__ = type(self).__name__  # Ray's map_groups wrapper requires it
 
     def __call__(self, g: pa.Table) -> pa.Table:
+        g = _placeable(g)
+        rows = _empty_out()
+        if not g.num_rows:
+            return _finish(rows, self.run_ts)
         conv = g["conv_id"][0].as_py()
         ename = self.spec.event_name
-        rows = _empty_out()
         turns, ts_us, ts_valid, roles = _group_arrays(g)
         _check_turn_block(rows, conv, ename, turns, ts_us, ts_valid, self.spec)
         first = self.spec.table.first_role
@@ -343,8 +355,7 @@ class BucketChecker:
     def __call__(self, t: pa.Table) -> pa.Table:
         spec, out = self.spec, _VecRows()
         ename, order, first = spec.event_name, spec.table.order, spec.table.first_role
-        # defense in depth: _project drops unplaceable rows before the shuffle
-        t = t.filter(pc.and_(pc.is_valid(t["conv_id"]), pc.is_valid(t["turn_idx"])))
+        t = _placeable(t)  # defense in depth: _project drops them before the shuffle
         n = t.num_rows
         if not n:
             return out.to_table(self.run_ts)
@@ -490,19 +501,7 @@ def _project(ds, spec: Spec):
         cols.append("role")
     projected = ds.select_columns(sorted(set(cols), key=cols.index))
 
-    def drop_unplaceable(t: pa.Table) -> pa.Table:
-        # rows with NULL conv_id / NULL turn_idx cannot be placed in the
-        # uniqueness/order lattice (and pd.factorize would misattribute a
-        # NULL conv to the LAST conv in the bucket via its -1 sentinel);
-        # each is already a scalar-plane type violation. The SQL twin
-        # excludes them symmetrically (sqlgen.conversation_violations_sql).
-        import pyarrow.compute as pc
-
-        return t.filter(
-            pc.and_(pc.is_valid(t["conv_id"]), pc.is_valid(t["turn_idx"]))
-        )
-
-    return projected.map_batches(drop_unplaceable, batch_format="pyarrow")
+    return projected.map_batches(_placeable, batch_format="pyarrow")
 
 
 def detect_skew(ds, chunk: int = CHUNK) -> tuple[int, list]:

@@ -15,8 +15,11 @@ partials whatever the block count. All sketches merge associatively, so the
 same partials can be persisted in the checkpoint manifest and merged across
 resumed runs.
 
-Hashing: pandas.util.hash_array (64-bit, stable across processes and runs —
-unlike Python's salted hash()).
+Hashing: ``hash64`` = pandas.util.hash_array (64-bit, stable across processes
+and runs — unlike Python's salted hash()). It stays the hash of the HLL and
+Bloom sketches and of the ``queries.py`` hash sidecars, so profiles and twins
+keep their values. Bucket routing does not use it for string keys: the
+keyed exchange (``stages/exchange.py``) hashes their Arrow UTF-8 bytes.
 """
 
 from __future__ import annotations

@@ -400,7 +400,31 @@ def test_conversation_read_unifies_turn_idx_dtypes(ray_session, tmp_path, monkey
     tbl = pa.concat_tables(tables, promote_options="permissive")
     as_int = tbl.set_column(1, "turn_idx", tbl["turn_idx"].cast(pa.int64()))
     got = _conversation_log(out)
-    # the engine drops NULL-turn rows before checking; so does the twin
-    placed = tbl.filter(pc.is_valid(tbl["turn_idx"]))
-    assert got == _reference(placed, spec) == _twin(as_int, spec)
+    # the engine (and ConversationChecker) drops NULL-turn rows before
+    # checking; so does the twin
+    assert got == _reference(tbl, spec) == _twin(as_int, spec)
     assert sum(got.values()) > 40 and {"unique", "order", "ref"} <= {k[2] for k in got}
+
+
+def test_checkers_drop_null_turns():
+    """A group holding a NULL turn (or a NULL conv_id) gives exactly the
+    rows of the same group without it, from ConversationChecker and
+    BucketChecker called directly: the NULL never reads as INT64_MIN. A
+    group of NULL turns only gives no rows."""
+    base = 1_704_067_200_000_000
+    turns = [0, 1, 3, 3, 4]
+    clean = _table(
+        ["c4"] * 5,
+        turns,
+        ["assistant", "user", "assistant", "user", "user"],
+        [base + t * 10**6 - (t == 4) * 10**8 for t in turns],
+    )
+    extra = _table(["c4", None], [None, 2], ["user", "user"], [base + 10**9, base])
+    dirty = pa.concat_tables([clean.slice(0, 2), extra, clean.slice(2)])
+    spec = transcript_spec()
+    for checker in (cv.ConversationChecker(spec), cv.BucketChecker(spec)):
+        want = _multiset(checker(clean).to_pylist())
+        assert {"unique", "order", "ref"} <= {k[2] for k in want}
+        assert _multiset(checker(dirty).to_pylist()) == want
+        assert checker(extra.slice(0, 1)).num_rows == 0
+    assert not any(str(np.iinfo(np.int64).min) in repr(k) for k in want)

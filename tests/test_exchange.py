@@ -1,7 +1,8 @@
 """The keyed exchange (`stages/exchange.py`): every ported operator gives the
 same rows at any bucket count, even when a key arrives int64 in one block
-and float64-with-NaN in another; the bucket count comes from the cluster;
-and no module outside `exchange.py` builds its own hash-bucket shuffle."""
+and float64-with-NaN in another; a string key hashes alike in every Arrow
+and pandas layout; the bucket count comes from the cluster; and no module
+outside `exchange.py` builds its own hash-bucket shuffle."""
 
 import ast
 import pathlib
@@ -273,6 +274,89 @@ def test_canonical_key_hash_ignores_block_dtype():
     a = exchange._add_bucket(t, ["k", "s"], 7)[exchange.BUCKET].to_pylist()
     b = exchange._add_bucket(t.to_pandas(), ["k", "s"], 7)[exchange.BUCKET].tolist()
     assert a == b
+
+
+STR_KEYS = ["a", "", None, "héllo wörld", "日本語", "emoji 🙂", "5", "convX00008514:10"]
+
+
+def _str_layouts(keys):
+    """The same string keys in every layout a block can carry them in."""
+    arr = pa.array(keys, pa.string())
+    return {
+        "string": pa.chunked_array([arr]),
+        "large_string": pa.chunked_array([pa.array(keys, pa.large_string())]),
+        "dictionary": pa.chunked_array([arr.dictionary_encode()]),
+        "slice": pa.chunked_array([pa.array(["pad", "x" * 9, *keys])[2:]]),
+        "chunks": pa.chunked_array([keys[:3], keys[3:]], pa.string()),
+        "pandas_object": pd.Series(keys, dtype=object),
+        "pandas_string": pd.Series(keys, dtype="string"),
+        "pandas_category": pd.Series(keys, dtype="category"),
+    }
+
+
+def test_string_key_hash_is_layout_independent():
+    """string, large_string, dictionary<int32,string>, a slice with a
+    non-zero offset, a multi-chunk column and the pandas forms of the same
+    keys (non-ASCII UTF-8 included) hash alike; "" and NULL differ, and
+    every key gets its own hash."""
+    layouts = _str_layouts(STR_KEYS)
+    assert layouts["dictionary"].type == pa.dictionary(pa.int32(), pa.string())
+    assert layouts["slice"].chunk(0).offset == 2
+    want = exchange._column_hash(layouts["string"])
+    for name, col in layouts.items():
+        assert exchange._column_hash(col).tolist() == want.tolist(), name
+    assert want[2] == exchange._NULL_HASH
+    assert want[1] != want[2]
+    assert len(set(want.tolist())) == len(STR_KEYS)
+
+
+def test_object_key_hashes_by_str_form():
+    """A non-str object in an object column hashes as its str() form: the
+    int 5 and the string "5" share a hash, and NULLs stay NULL."""
+    mixed = exchange._column_hash(pd.Series([5, "x", None, 2.5, True], dtype=object))
+    text = exchange._column_hash(pa.chunked_array([["5", "x", None, "2.5", "True"]]))
+    assert mixed.tolist() == text.tolist()
+
+
+def test_long_key_hash_has_no_per_length_loop(monkeypatch):
+    """A 1 MiB key takes the same numpy steps as a one-byte key: the byte
+    hash has no Python loop, and calls the splitmix finisher twice (the
+    position weights and the result) whatever the key length."""
+    import inspect
+
+    src = ast.parse(inspect.getsource(exchange._utf8_hash))
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+    assert not [n for n in ast.walk(src) if isinstance(n, loops)]
+    calls = []
+    real = exchange._splitmix
+    monkeypatch.setattr(exchange, "_splitmix", lambda z: calls.append(len(z)) or real(z))
+    big = "k" * 2**20
+    h = exchange._column_hash(pa.chunked_array([[big, big[:-1] + "j", "k"]]))
+    assert calls == [2**20, 3]
+    assert len(set(h.tolist())) == 3
+    assert exchange._column_hash(pd.Series([big], dtype=object))[0] == h[0]
+
+
+def test_arrow_and_pandas_routes_agree_on_random_keys():
+    """Thousands of random keys (random lengths, non-ASCII, NULLs), one
+    key column or two: `_add_bucket` gives each row the same bucket from the
+    Arrow table and from its pandas frame, and the string hashes are
+    distinct."""
+    rng = np.random.default_rng(17)
+    alphabet = list("abcxyz019:-_ éüß日本🙂")
+    n = 4000
+    keys = [
+        None if rng.random() < 0.05 else "".join(rng.choice(alphabet, rng.integers(0, 40)))
+        for _ in range(n)
+    ]
+    t = pa.table({"s": pa.array(keys, pa.string()), "k": pa.array(rng.integers(0, 50, n))})
+    for cols in (["s"], ["s", "k"], ["k", "s"]):
+        a = exchange._add_bucket(t, cols, 256)[exchange.BUCKET].to_pylist()
+        b = exchange._add_bucket(t.to_pandas(), cols, 256)[exchange.BUCKET].tolist()
+        assert a == b
+    distinct = {k for k in keys if k is not None}
+    h = exchange._column_hash(pa.chunked_array([list(distinct)], pa.string()))
+    assert len(set(h.tolist())) == len(distinct)
 
 
 #: the only `map_groups` calls outside exchange.py: groupbys on a NATURAL

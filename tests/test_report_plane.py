@@ -132,6 +132,57 @@ def test_empty_report_is_typed(ray_session, kind):
     assert rate["n_error_events"].sum() == 0
 
 
+def _rate_blocks() -> list[pa.Table]:
+    """Four VIOLATION_SCHEMA blocks over three days plus NULL timestamps:
+    every event id sits in several blocks, an error row in one and valid
+    rows in others, so only the exchange's bucket sees both; some event ids
+    are NULL."""
+    rng = np.random.default_rng(33)
+    blocks = []
+    for b in range(4):
+        n = 200
+        ids = rng.integers(0, 150, n)
+        ts = BASE_US + (ids % 3) * DAY_US + rng.integers(0, DAY_US, n)
+        cols = {
+            "event_id": [None if r < 0.03 else f"ev{i}" for r, i in zip(rng.random(n), ids)],
+            "timestamp": [None if i % 10 == 0 else int(v) for i, v in zip(ids, ts)],
+            "status": ["error" if (i + b) % 4 == 0 else "valid" for i in ids],
+        }
+        blocks.append(
+            pa.table(
+                {f.name: pa.array(cols.get(f.name, [None] * n), f.type) for f in VIOLATION_SCHEMA}
+            )
+        )
+    return blocks
+
+
+@pytest.mark.parametrize("buckets", [1, 7, 256])
+def test_daily_error_rate_across_buckets_matches_twin(ray_session, force_buckets, buckets):
+    """The exact daily_error_rate equals its DuckDB twin at 1, 7 and 256
+    buckets, on a log whose event ids are error in one block and valid in
+    another, with a `(null)` day and NULL event ids."""
+    import ray.data as rd
+
+    force_buckets(buckets)
+    blocks = _rate_blocks()
+    rate = report.daily_error_rate(rd.from_arrow(blocks))
+    want = _twin(
+        f"SELECT {TWIN_DAY} AS date_utc, COUNT(DISTINCT event_id) AS n_events, "
+        "COUNT(DISTINCT event_id) FILTER (WHERE status = 'error') AS n_error_events "
+        "FROM log GROUP BY ALL ORDER BY date_utc",
+        blocks,
+    ).values.tolist()
+    assert list(rate.columns) == ["date_utc", "n_events", "n_error_events", "error_rate"]
+    assert [str(t) for t in rate.dtypes] == ["object", "int64", "int64", "float64"]
+    assert rate[["date_utc", "n_events", "n_error_events"]].values.tolist() == want
+    assert rate["error_rate"].tolist() == [round(100.0 * e / n, 6) for _, n, e in want]
+    assert len(want) == 4 and want[0][0] == "(null)"
+    assert all(0 < e < n for _, n, e in want)
+    # an event id that is error in one block and valid in another
+    ids = [{s: {r["event_id"] for r in b.to_pylist() if r["status"] == s} for s in ("error", "valid")} for b in blocks]
+    assert any(ids[i]["error"] & ids[j]["valid"] for i in range(4) for j in range(4) if i != j)
+
+
 def _us(y, m, d, hh=0, mm=0, ss=0, us=0) -> int:
     delta = dt.datetime(y, m, d, hh, mm, ss, us) - dt.datetime(1970, 1, 1)
     return (delta.days * 86_400 + delta.seconds) * 1_000_000 + delta.microseconds
