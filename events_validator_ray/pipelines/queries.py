@@ -427,22 +427,23 @@ def q_distinct_conv_exact(sf_dir: str):
 
 def q_quantiles_exact(sf_dir: str):
     """EXACT distributed quantiles over turn_idx (the t-digest query's
-    ground-truth twin): value-count groupby (cardinality-bounded), driver
-    cumsum + quantile_disc rank rule (lower interpolation)."""
+    ground-truth twin): per-block value counts folded on the driver
+    (``fold.sum_by_key``; cardinality-bounded), driver cumsum +
+    quantile_disc rank rule (lower interpolation)."""
     import numpy as np
     import pandas as pd
+    import pyarrow as pa
 
-    from ray.data.aggregate import Count
+    from ..stages.fold import sum_by_key
 
-    vc = (
-        _read_transcripts(sf_dir)
-        .select_columns(["turn_idx"])
-        .groupby("turn_idx")
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-        .sort_values("turn_idx")
+    def value_counts(t: pa.Table) -> pa.Table:
+        return t.group_by("turn_idx", use_threads=False).aggregate([([], "count_all")])
+
+    schema = pa.schema([("turn_idx", pa.int64()), ("count_all", pa.int64())])
+    vc = sum_by_key(
+        _read_transcripts(sf_dir).select_columns(["turn_idx"]), schema, ["turn_idx"], value_counts
     )
-    counts = vc["n"].to_numpy()
+    counts = vc["count_all"].to_numpy()
     vals = vc["turn_idx"].to_numpy()
     cum = np.cumsum(counts)
     total = int(cum[-1])
@@ -640,8 +641,8 @@ HH_PERMILLE = 8
 
 def q_user_growth(sf_dir: str):
     """Cumulative audience: per day, first-seen users and the running total
-    (stages/windows.py:user_growth — one additive groupby(user).Min, then
-    days-sized cumulate)."""
+    (stages/windows.py:user_growth — one bucketed per-user Min, then
+    per-block day counts folded on the driver and a days-sized cumulate)."""
     from ..stages.windows import user_growth
 
     return user_growth(_read_table(sf_dir, "events"))
@@ -821,8 +822,8 @@ def simhash_components_oracle(sf_dir: str) -> str:
 def q_dup_cluster_stats(sf_dir: str):
     """Dedup report: cluster-size histogram of the MinHash-LSH labeling
     (cluster_size, n_clusters) — sum(size×n)=corpus; the dup-rate view every
-    dedup run ends with (stages/dedup.py:dup_cluster_stats — two additive
-    single-key groupbys over the label table)."""
+    dedup run ends with (stages/dedup.py:dup_cluster_stats — a bucketed
+    label → size count, then a driver fold of the size histogram)."""
     from ..stages.dedup import dup_cluster_stats, minhash_lsh_dedup
 
     labels = minhash_lsh_dedup(
@@ -1198,8 +1199,8 @@ def q_lang_id(sf_dir: str):
 
 def q_lang_mix(sf_dir: str):
     """Corpus language composition by source: per-(source, lang_pred) doc
-    counts (stages/text.py:lang_mix — map-only partials, one packed-key
-    groupby, ≤ sources×languages result)."""
+    counts (stages/text.py:lang_mix — map-only partials folded on the
+    driver, ≤ sources×languages result)."""
     from ..stages.text import lang_mix
 
     return lang_mix(_read_table(sf_dir, "documents"))
@@ -1873,23 +1874,19 @@ def q_broadcast_join(sf_dir: str):
     orders = _read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     joined = broadcast_join(orders, dim, on="o_custkey", dim_on="c_custkey", take_cols=["n_name"])
 
-    import numpy as np
-    import pandas as pd
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    def cents_partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["cents"] = np.floor(df["o_totalprice"] * 100 + 0.5).astype("int64")
-        g = df.groupby("n_name", sort=False).agg(n_orders=("cents", "size"), sum_cents=("cents", "sum"))
-        return g.reset_index()
+    from ..stages.fold import dataset, sum_by_key
 
-    from ray.data.aggregate import Sum
+    def cents_partial(t: pa.Table) -> pa.Table:
+        cents = pc.cast(pc.floor(pc.add(pc.multiply(t["o_totalprice"], 100), 0.5)), pa.int64())
+        g = pa.table({"n_name": t["n_name"], "cents": cents}).group_by("n_name", use_threads=False)
+        g = g.aggregate([([], "count_all"), ("cents", "sum")])
+        return g.select(["n_name", "count_all", "cents_sum"]).rename_columns(schema.names)
 
-    partials = joined.map_batches(cents_partial, batch_format="pandas")
-    return (
-        partials.groupby("n_name")
-        .aggregate(Sum("n_orders", alias_name="n_orders"), Sum("sum_cents", alias_name="sum_cents"))
-    )
+    schema = pa.schema([("n_name", pa.string()), ("n_orders", pa.int64()), ("sum_cents", pa.int64())])
+    return dataset(sum_by_key(joined, schema, ["n_name"], cents_partial))
 
 
 def q_left_join_enrich(sf_dir: str):
@@ -2997,7 +2994,7 @@ def events_oracles() -> dict[str, str]:
 def q_retention_cohorts(sf_dir: str):
     """Cohort retention triangle: per (first-active-day cohort, day offset),
     distinct returning users (stages/windows.py:retention_cohorts — one
-    bucketed user shuffle, days²-bounded packed-key reduce)."""
+    bucketed user shuffle, days²-bounded driver fold)."""
     from ..stages.windows import retention_cohorts
 
     return retention_cohorts(_read_table(sf_dir, "events"))
@@ -3545,7 +3542,8 @@ def q_boilerplate_prefixes(sf_dir: str):
 def q_cluster_purity(sf_dir: str):
     """Per-cluster member count + majority ground-truth label over the
     k-means assignment (stages/similarity.py:cluster_purity — label rides the
-    broadcast assignment map, packed-key Sum reduce, k×labels-sized finish)."""
+    broadcast assignment map, per-block counts folded on the driver,
+    k×labels-sized finish)."""
     import numpy as np
     import pyarrow.parquet as pq
 

@@ -20,11 +20,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages import fold
 from ..stages.windows import utc_day
-
-#: partial-count rows the driver buffers before folding them into its
-#: running sum: driver memory stays within the output plus one window
-FOLD_ROWS = 65_536
 
 
 def _with_date(ds):
@@ -32,14 +29,6 @@ def _with_date(ds):
         return t.append_column("date_utc", utc_day(t["timestamp"]))
 
     return ds.map_batches(add_date, batch_format="pyarrow")
-
-
-def _sum_counts(parts: list[pa.Table], keys: list[str], *cols: str) -> pa.Table:
-    t = pa.concat_tables(parts, promote_options="default")
-    sums = [f"{c}_sum" for c in cols]
-    return t.group_by(keys, use_threads=False).aggregate([(c, "sum") for c in cols]).select(
-        [*keys, *sums]
-    ).rename_columns([*keys, *cols])
 
 
 #: the exact and approximate daily_error_rate's day counts
@@ -58,47 +47,19 @@ def _rate_frame(t: pa.Table):
 
 def _error_counts(ds, keys: list[str], n: str, order, k: int | None = None):
     """Error rows per ``keys``, sorted by ``order`` and cut to the first
-    ``k``, with no Ray barrier: the cardinality is bounded (days × fields,
-    fields × error types), so each block counts its own errors with Arrow
-    ``group_by`` and sends at most one row per key (*DS2*, ICDE 2021), and
-    the driver folds the partials into a running sum every FOLD_ROWS rows as
-    they stream in. The pull is Σ per-block distinct keys. Returns a Dataset
-    of (*keys, n); an empty or all-valid log gives a typed empty one."""
+    ``k``, through the bounded fold (``stages/fold.py``): the cardinality is
+    bounded (days × fields, fields × error types), so each block counts its
+    own errors with Arrow ``group_by`` and the driver folds the partials as
+    they stream in. Returns a typed Dataset of (*keys, n)."""
 
     def count_block(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["status"], "error"))
         c = t.group_by(keys, use_threads=False).aggregate([([], "count_all")])
         return c.select([*keys, "count_all"]).rename_columns([*keys, n])
 
-    acc, window, rows = [], [], 0
-    parts = ds.map_batches(count_block, batch_format="pyarrow", batch_size=None)
-    for part in parts.iter_batches(batch_size=None, batch_format="pyarrow"):
-        window.append(part)
-        rows += part.num_rows
-        if rows >= FOLD_ROWS:
-            acc, window, rows = [_sum_counts(acc + window, keys, n)], [], 0
-    if not acc and not window:  # no block at all: the empty log's schema
-        empty = {c: pa.array([], pa.string()) for c in keys}
-        window = [pa.table({**empty, n: pa.array([], pa.int64())})]
-    out = _sum_counts(acc + window, keys, n).sort_by(order)
-    return _dataset(out if k is None else out.slice(0, k))
-
-
-def _dataset(t: pa.Table):
-    """``t`` as a Dataset whose ``to_pandas`` keeps the columns when empty
-    (Ray skips empty blocks, so a plain empty Dataset's frame has none)."""
-    import ray.data as rd
-    from ray.data.dataset import MaterializedDataset
-
-    ds = rd.from_arrow(t)
-    if t.num_rows:
-        return ds
-
-    class EmptyResult(MaterializedDataset):
-        def to_pandas(self, limit=None):
-            return t.to_pandas()
-
-    return rd.Dataset.copy(ds, _as=EmptyResult)
+    schema = pa.schema([*((c, pa.string()) for c in keys), (n, pa.int64())])
+    out = fold.sum_by_key(ds, schema, keys, count_block).sort_by(order)
+    return fold.dataset(out if k is None else out.slice(0, k))
 
 
 def failures_by_day(ds, dim: str = "field"):
@@ -144,18 +105,20 @@ def daily_error_rate(ds, approx: bool = False, hll_p: int = 14):
 
     def pair_dedup_day_partials(t: pa.Table) -> pa.Table:
         # exact global dedup (all copies of a pair share the bucket), then
-        # per-bucket per-day partial counts — the final shuffle carries
-        # buckets × days rows, never the event table. A NULL event_id is no
-        # event (COUNT(DISTINCT) skips it).
-        if t["event_id"].null_count:
-            t = t.filter(pc.is_valid(t["event_id"]))
+        # per-bucket per-day partial counts — the fold carries buckets ×
+        # days rows, never the event table. A NULL event_id is no event
+        # (COUNT(DISTINCT) skips it), but its day stays, as in the twin's
+        # GROUP BY date_utc.
         d = t.group_by(["date_utc", "event_id"], use_threads=False).aggregate(
             [("is_error_max", "max")]
         )
-        out = d.group_by("date_utc", use_threads=False).aggregate(
-            [([], "count_all"), ("is_error_max_max", "sum")]
+        err = d["is_error_max_max"]
+        if d["event_id"].null_count:
+            err = pc.if_else(pc.is_valid(d["event_id"]), err, 0)
+        out = d.set_column(2, "err", err).group_by("date_utc", use_threads=False).aggregate(
+            [("event_id", "count"), ("err", "sum")]
         )
-        return out.select(["date_utc", "count_all", "is_error_max_max_sum"]).rename_columns(
+        return out.select(["date_utc", "event_id_count", "err_sum"]).rename_columns(
             _RATE_COUNTS.names
         )
 
@@ -163,17 +126,9 @@ def daily_error_rate(ds, approx: bool = False, hll_p: int = 14):
     # bucket (sufficient for exact dedup)
     deduped = with_date.map_batches(batch_dedup, batch_format="pyarrow")
     partials = exchange(deduped, "event_id", pair_dedup_day_partials, batch_format="pyarrow")
-
-    # final day sum on the driver: the pull is ≤ bucket_count() × days tiny rows
-    # (the HLL path's bound class). A Ray groupby(date).aggregate here
-    # measured 28.4s over 359k partial rows / 2136 day groups vs 0.25s for
-    # this pull — the sort-aggregate cost, not data volume. An empty or
-    # block-less log pulls nothing and still gives the typed frame.
-    parts = list(partials.iter_batches(batch_size=None, batch_format="pyarrow"))
-    counts = _sum_counts(
-        [_RATE_COUNTS.empty_table(), *parts], ["date_utc"], "n_events", "n_error_events"
-    )
-    return _rate_frame(counts.sort_by("date_utc"))
+    # the day sum folds ≤ bucket_count() × days partial rows on the driver
+    counts = fold.sum_by_key(partials, _RATE_COUNTS, ["date_utc"])
+    return _rate_frame(counts)
 
 
 def _daily_error_rate_hll(ds, hll_p: int):
@@ -193,7 +148,9 @@ def _daily_error_rate_hll(ds, hll_p: int):
     def partials(t: pa.Table) -> pa.Table:
         dates = t["date_utc"].to_numpy(zero_copy_only=False)
         ids = t["event_id"].to_numpy(zero_copy_only=False)
-        errs = pc.equal(t["status"], "error").to_numpy(zero_copy_only=False)
+        # a NULL event_id is no event, but its day stays (0 events)
+        valid = pc.is_valid(t["event_id"]).to_numpy(zero_copy_only=False)
+        errs = pc.equal(t["status"], "error").to_numpy(zero_copy_only=False) & valid
         h = hash64(ids).astype(np.uint64)
         uniq, inv = np.unique(dates, return_inverse=True)
         order = np.argsort(inv, kind="stable")
@@ -202,7 +159,7 @@ def _daily_error_rate_hll(ds, hll_p: int):
         for k, d in enumerate(uniq):
             seg = order[bounds[k] : bounds[k + 1]]
             hll = HLL(hll_p)
-            hll.add_hashes(h[seg])
+            hll.add_hashes(h[seg[valid[seg]]])
             out_d.append(d)
             out_w.append("total")
             out_p.append(pickle.dumps(hll))
@@ -272,7 +229,11 @@ def _daily_error_rate_hll(ds, hll_p: int):
 def unique_event_names(ds):
     """Distinct event names (the report's filter widget,
     validation_report.py:85)."""
-    return sorted(x for x in ds.unique("event_name") if x is not None)
+    def distinct(t: pa.Table) -> pa.Table:
+        return t.group_by("event_name", use_threads=False).aggregate([])
+
+    schema = pa.schema([("event_name", pa.string())])
+    return fold.sum_by_key(ds, schema, ["event_name"], distinct)["event_name"].drop_null().to_pylist()
 
 
 def worst_offenders(ds, k: int = 20):

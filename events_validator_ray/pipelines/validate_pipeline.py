@@ -49,7 +49,8 @@ import pyarrow.parquet as pq
 from ..sources.readers import read_parquet_per_cpu, read_violations_dir
 from ..spec import Spec
 from ..stages import conversation
-from ..stages.sketches import SketchFold, SketchPartials, drift_report, frequent_values, profile_table
+from ..stages.fold import PayloadFold
+from ..stages.sketches import SketchPartials, drift_report, frequent_values, profile_table
 from ..stages.sketches import sketch_dataset
 from ..stages.validate import DEFAULT_RUN_TS, ValidateBatch
 from ..state.manifest import (
@@ -217,7 +218,7 @@ def run_validation(
         src = rd.read_parquet(part_files, override_num_blocks=len(part_files), batch_size=None)
         if conv_filter is not None:
             src = conv_filter(src)
-        fold, named, part_hot = SketchFold(), set(), set()
+        fold, named, part_hot = PayloadFold(("col", "kind")), set(), set()
         n_rows = n_err = n_valid = 0
         with atomic_output_dir(final_dir) as tmp:
             summaries = src.map_batches(

@@ -186,13 +186,20 @@ def main(argv: list[str] | None = None) -> int:
         outdir = _os.path.join(args.out, "diff")
         with atomic_output_dir(outdir) as tmp:
             diff.write_parquet(tmp)
-        # count from the SINK; 4-status cardinality bounds the aggregate
-        counts = rd.read_parquet(outdir).groupby("status").count().to_pandas()
+        # count from the SINK; 4-status cardinality bounds the fold
+        import pyarrow as pa
+
+        from .stages.fold import sum_by_key
+
+        counts = sum_by_key(
+            rd.read_parquet(outdir),
+            pa.schema([("status", pa.string()), ("count_all", pa.int64())]),
+            ["status"],
+            lambda t: t.group_by("status", use_threads=False).aggregate([([], "count_all")]),
+        )
         summary = {
             "output_path": outdir,
-            "counts": {
-                str(r["status"]): int(r["count()"]) for _, r in counts.iterrows()
-            },
+            "counts": dict(zip(counts["status"].to_pylist(), counts["count_all"].to_pylist())),
         }
         print(json.dumps(summary))
         ray.shutdown()

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 
 import pandas as pd
+import pyarrow as pa
 
 from .exchange import exchange
 
@@ -196,7 +197,6 @@ def conversation_stats(ds):
     (block, conv)) → keyed exchange → per-bucket merge (sum the counts,
     min/max the timestamps). µs epochs (~1.7e15) stay exact through the
     float64 NaN-carrying min/max: they are < 2^53."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     def derive(t: pa.Table) -> pa.Table:
@@ -280,10 +280,10 @@ class _RoleTransitionsBucket:
             pd.DataFrame({"from_role": cur[keep], "to_role": nxt[keep]})
             .groupby(["from_role", "to_role"], sort=False)
             .size()
-            .rename("_n")
+            .rename("n")
             .reset_index()
         )
-        out["_n"] = out["_n"].astype("int64")
+        out["n"] = out["n"].astype("int64")
         return out
 
 
@@ -294,33 +294,15 @@ def role_transitions(ds):
     assistant→assistant adjacency means broken alternation upstream).
 
     Scale shape: one conversation-keyed exchange produces per-bucket
-    PARTIAL counts (≤ roles² rows per bucket); the final reduction sums a
-    roles²×buckets table. The mixed (from,to) pair is combined into one
-    string key for the last groupby — multi-key groupby at scale is the
-    documented Ray hazard."""
-    from ray.data.aggregate import Sum
+    PARTIAL counts (≤ roles² rows per bucket); the driver folds the
+    roles²×buckets table (``fold.sum_by_key``, Arrow groups on both
+    columns)."""
+    from .fold import dataset, sum_by_key
 
     projected = ds.select_columns(["conv_id", "turn_idx", "role", "text"])
     partials = exchange(projected, "conv_id", _RoleTransitionsBucket())
-
-    def mix(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(_k=df["from_role"].str.cat(df["to_role"], sep="\x1f"))
-
-    mix.__name__ = "mix_pair_key"
-
-    def unmix(df: pd.DataFrame) -> pd.DataFrame:
-        parts = df["_k"].str.split("\x1f", expand=True)
-        return pd.DataFrame(
-            {"from_role": parts[0], "to_role": parts[1], "n": df["n"].astype("int64")}
-        )
-
-    unmix.__name__ = "unmix_pair_key"
-    return (
-        partials.map_batches(mix, batch_format="pandas")
-        .groupby("_k")
-        .aggregate(Sum("_n", alias_name="n"))
-        .map_batches(unmix, batch_format="pandas")
-    )
+    schema = pa.schema([("from_role", pa.string()), ("to_role", pa.string()), ("n", pa.int64())])
+    return dataset(sum_by_key(partials, schema, ["from_role", "to_role"]))
 
 
 class _ConvSegmentsBucket:

@@ -1315,18 +1315,21 @@ def embedding_dedup(
 def dup_cluster_stats(labels_ds, label_col: str = "cluster"):
     """Cluster-size histogram of a dedup labeling — the dup-rate report every
     dedup run ends with: (cluster_size, n_clusters). Size-1 clusters are the
-    unique docs; sum(cluster_size × n_clusters) = corpus. Two single-key
-    additive groupbys (label → size, size → count): map-side combining
-    absorbs both, nothing driver-side."""
-    from ray.data.aggregate import Count
-
+    unique docs; sum(cluster_size × n_clusters) = corpus. The label → size
+    level scales with the corpus (a bucketed count, BASELINE.md
+    group-cardinality addendum); the size → count level has few distinct
+    sizes and folds on the driver (``fold.sum_by_key``)."""
     from .assembly import bucketed_count_per_key
+    from .fold import dataset, sum_by_key
 
-    # corpus-cardinality level (label -> size): bucketed pandas count
-    # (BASELINE.md group-cardinality addendum); the histogram level keeps the
-    # plain aggregate - distinct sizes are few
+    schema = pa.schema([("cluster_size", pa.int64()), ("n_clusters", pa.int64())])
+
+    def size_counts(t: pa.Table) -> pa.Table:
+        c = t.group_by("cluster_size", use_threads=False).aggregate([([], "count_all")])
+        return c.select(["cluster_size", "count_all"]).rename_columns(schema.names)
+
     sizes = bucketed_count_per_key(labels_ds, label_col, "cluster_size")
-    return sizes.groupby("cluster_size").aggregate(Count(alias_name="n_clusters"))
+    return dataset(sum_by_key(sizes, schema, ["cluster_size"], size_counts))
 
 
 def normalized_dedup(ds, col: str = "text", id_col: str = "doc_id"):

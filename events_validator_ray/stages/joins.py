@@ -325,7 +325,10 @@ def build_bloom(keys_ds, on: str, n_bits_log2: int = 22, k: int = 4) -> BloomFil
     per thousand keys), then a distributed OR-combine stage collapses every
     ~64 partials into one before the driver pull — the pull is
     ceil(blocks/64) payloads, not blocks, and the key SET never materializes
-    anywhere."""
+    anywhere. This is the library's one ``repartition`` combine: a 512 KB
+    partial (at the default 2^22 bits) is 32× the 16 KB HLL partial that
+    ``stages/fold.py`` folds per block on the driver, so the fan-in is
+    collapsed in the cluster first."""
     import pickle
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:

@@ -196,8 +196,8 @@ def global_rank(ds, col: str, out_col: str = "n_le", max_distinct: int = 1_000_0
     one-int-per-block Σ-distinct probe; because it SUMS per-block counts it
     overcounts values repeated across blocks (it scales with block count),
     so when it overshoots, tier 2 re-checks with a distributed HLL sketch
-    (16 KiB registers per block, partial→combine reduce, driver merge — no
-    shuffle, block-count-independent, ±~1% at p=14) before refusing: a
+    (16 KiB registers per block, folded on the driver by ``sketch_dataset``
+    — no shuffle, block-count-independent, ±~1% at p=14) before refusing: a
     bounded-cardinality column spread over many blocks stays legal at any
     corpus size. Within the bound: a BUCKETED value count (per-batch pandas
     partials → key-hash bucket → per-bucket sum, never
@@ -403,16 +403,15 @@ def _float_quantile_threshold(
     bins: int = 1024,
     refine_cap: int = 65_536,
     max_levels: int = 8,
-    combine_partitions: int = 4,
     telemetry: dict | None = None,
 ):
     """EXACT quantile_disc threshold of a continuous float column with a
     DRIVER PULL BOUNDED BY THE BIN COUNT, never the cardinality: a stats scan
     (count / ±inf counts / finite min-max), then per-level histogram scans
-    (each task emits one `bins`-long int64 payload, reduced behind a
-    repartition barrier — the joins.build_bloom pattern), narrowing to the bin
-    containing rank ceil(q·n) until it holds ≤ refine_cap values, then one
-    exact value-count groupby restricted to that bin. Bin assignment is a
+    (each block emits one `bins`-long int64 payload, folded on the driver by
+    ``fold.fold_payloads``), narrowing to the bin containing rank ceil(q·n)
+    until it holds ≤ refine_cap values, then one exact value count
+    (``fold.sum_by_key``) restricted to that bin. Bin assignment is a
     clipped monotone floor map, so bin order is value order and the rank walk
     stays exact regardless of float edge rounding. NULL and NaN are ignored
     (quantile_disc NULL rule; the engine's documented NaN stance). Returns the
@@ -422,16 +421,9 @@ def _float_quantile_threshold(
 
     import numpy as np
 
-    proj = ds.select_columns([col])
+    from .fold import fold_payloads, sum_by_key
 
-    def _reduce(partial_fn, merge_fn):
-        rows = (
-            proj.map_batches(partial_fn, batch_format="pyarrow", batch_size=None)
-            .repartition(combine_partitions)
-            .map_batches(merge_fn, batch_format="pyarrow", batch_size=None)
-            .take_all()
-        )
-        return [pickle.loads(r["payload"]) for r in rows]
+    proj = ds.select_columns([col])
 
     def _payload_table(obj) -> pa.Table:
         return pa.table({"payload": pa.array([pickle.dumps(obj)], pa.binary())})
@@ -443,38 +435,17 @@ def _float_quantile_threshold(
     def stats_partial(t: pa.Table) -> pa.Table:
         v = _vals(t)
         fin = v[np.isfinite(v)]
+        lo_hi = (float(fin.min()), float(fin.max())) if fin.size else (np.inf, -np.inf)
         return _payload_table(
-            (
-                int(fin.size),
-                int(np.isneginf(v).sum()),
-                int(np.isposinf(v).sum()),
-                float(fin.min()) if fin.size else None,
-                float(fin.max()) if fin.size else None,
-            )
+            (int(fin.size), int(np.isneginf(v).sum()), int(np.isposinf(v).sum()), *lo_hi)
         )
 
-    def stats_merge(t: pa.Table) -> pa.Table:
-        n_fin = neg = pos = 0
-        lo = hi = None
-        for p in t["payload"].to_pylist():
-            a, b, c, mn, mx = pickle.loads(p)
-            n_fin += a
-            neg += b
-            pos += c
-            if mn is not None:
-                lo = mn if lo is None else min(lo, mn)
-                hi = mx if hi is None else max(hi, mx)
-        return _payload_table((n_fin, neg, pos, lo, hi))
+    def stats_merge(a, b):
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2], min(a[3], b[3]), max(a[4], b[4]))
 
-    n_fin = neg = pos = 0
-    lo = hi = None
-    for a, b, c, mn, mx in _reduce(stats_partial, stats_merge):
-        n_fin += a
-        neg += b
-        pos += c
-        if mn is not None:
-            lo = mn if lo is None else min(lo, mn)
-            hi = mx if hi is None else max(hi, mx)
+    n_fin, neg, pos, lo, hi = fold_payloads(proj, stats_partial, merge=stats_merge).get(
+        (), (0, 0, 0, None, None)
+    )
     total = n_fin + neg + pos
     if total == 0:
         return None
@@ -502,15 +473,7 @@ def _float_quantile_threshold(
             )
             return _payload_table(np.bincount(idx, minlength=bins).astype(np.int64))
 
-        def hist_merge(t: pa.Table) -> pa.Table:
-            acc = np.zeros(bins, dtype=np.int64)
-            for p in t["payload"].to_pylist():
-                acc += pickle.loads(p)
-            return _payload_table(acc)
-
-        counts = np.zeros(bins, dtype=np.int64)
-        for c in _reduce(hist_partial, hist_merge):
-            counts += c
+        counts = fold_payloads(proj, hist_partial, merge=np.add)[()]
         cum = np.cumsum(counts)
         j = int(np.searchsorted(cum, rank_fin - count_below))
         width = hi - lo
@@ -537,16 +500,8 @@ def _float_quantile_threshold(
             {"value": pa.array(uniq, pa.float64()), "n": pa.array(cnt, pa.int64())}
         )
 
-    from ray.data.aggregate import Sum
-
-    vc = (
-        proj.map_batches(bin_values, batch_format="pyarrow", batch_size=None)
-        .groupby("value")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-        .sort_values("value")
-        .reset_index(drop=True)
-    )
+    schema = pa.schema([("value", pa.float64()), ("n", pa.int64())])
+    vc = sum_by_key(proj, schema, ["value"], bin_values).to_pandas()
     if telemetry is not None:
         telemetry["levels"] = levels
         telemetry["exact_rows"] = len(vc)

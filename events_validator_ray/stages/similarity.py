@@ -330,18 +330,17 @@ def _lloyd_step(E: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, np.bincount(a, minlength=k).astype(np.int64)
 
 
-def kmeans_fit(ds, k: int = 8, iters: int = 4, col: str = "embedding", id_col: str = "vec_id", combine_partitions: int = 4) -> np.ndarray:
+def kmeans_fit(ds, k: int = 8, iters: int = 4, col: str = "embedding", id_col: str = "vec_id") -> np.ndarray:
     """Distributed full-corpus Lloyd k-means (vs train_centroids' driver-side
     SAMPLE fit): init = the k lowest-id vectors (deterministic, no RNG), then
-    `iters` rounds of map_batches assignment partials — each task emits ONE
-    pickled (k×dim sums, k counts) row — reduced behind a `repartition`
-    exchange barrier (the joins.build_bloom pattern; without it Ray fuses
-    partial→combine into one task and the driver pulls one row per block).
-    Driver pull per round: ≤ combine_partitions rows. Empty clusters keep
-    their previous centroid."""
+    `iters` rounds of one (k×dim sums, k counts) partial per block, folded
+    on the driver (``fold.fold_payloads``: no barrier, merge order fixed by
+    the payload bytes). Empty clusters keep their previous centroid."""
     import pickle
 
     import ray
+
+    from .fold import fold_payloads
 
     def min_ids(t: pa.Table) -> pa.Table:
         sel = t.select([id_col, col])
@@ -353,15 +352,6 @@ def kmeans_fit(ds, k: int = 8, iters: int = 4, col: str = "embedding", id_col: s
     rows = ds.map_batches(min_ids, batch_format="pyarrow").take_all()
     rows.sort(key=lambda r: r[id_col])
     C = np.stack([np.asarray(r[col], dtype=np.float64) for r in rows[:k]])
-
-    def merge(t: pa.Table) -> pa.Table:
-        sums = None
-        cnt = None
-        for p in t["payload"].to_pylist():
-            s, c = pickle.loads(p)
-            sums = s if sums is None else sums + s
-            cnt = c if cnt is None else cnt + c
-        return pa.table({"payload": pa.array([pickle.dumps((sums, cnt))], pa.binary())})
 
     proj = ds.select_columns([col])
     for _ in range(iters):
@@ -375,18 +365,7 @@ def kmeans_fit(ds, k: int = 8, iters: int = 4, col: str = "embedding", id_col: s
                 s, c = _lloyd_step(_embedding_matrix(t, col), Cw)
             return pa.table({"payload": pa.array([pickle.dumps((s, c))], pa.binary())})
 
-        out_rows = (
-            proj.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .repartition(combine_partitions)
-            .map_batches(merge, batch_format="pyarrow", batch_size=None)
-            .take_all()
-        )
-        sums = np.zeros_like(C)
-        cnt = np.zeros(k, dtype=np.int64)
-        for r in out_rows:
-            s, c = pickle.loads(r["payload"])
-            sums += s
-            cnt += c
+        sums, cnt = fold_payloads(proj, partial, merge=lambda a, b: (a[0] + b[0], a[1] + b[1]))[()]
         nz = cnt > 0
         C = C.copy()
         C[nz] = sums[nz] / cnt[nz, None]
@@ -449,57 +428,35 @@ def cluster_purity(
     topic clustering is good enough to balance a training mixture on.
 
     Scale shape: the map-only broadcast assignment carries the label through
-    (no join), per-batch (cluster, label) counts pack into ONE int64 key
-    (labels are non-negative and < 2^32, like every id in the corpus), one
-    single-key Sum groupby over (blocks × k × |labels|) partial rows, then
-    the majority pick runs on the k×|labels|-sized table in one task.
-    Majority ties break to the lowest label (ORDER BY n DESC, label)."""
-    from ray.data.aggregate import Sum
+    (no join), each block counts its (cluster, label) pairs, the driver
+    folds the k × |labels| counts (``fold.sum_by_key``) and picks the
+    majority. Majority ties break to the lowest label (ORDER BY n DESC,
+    label)."""
+    from .fold import dataset, sum_by_key
 
     assigned = kmeans_assign(
         ds, centroids, col=col, id_col=id_col, keep_cols=(label_col,)
     )
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        pk = (df["cluster_id"].to_numpy(dtype="int64") << 32) | df[
-            label_col
-        ].to_numpy(dtype="int64")
-        counts = pd.Series(pk).value_counts()
-        return pd.DataFrame(
+    def partial(t: pa.Table) -> pa.Table:
+        c = t.group_by(["cluster_id", label_col], use_threads=False).aggregate([([], "count_all")])
+        return c.select(["cluster_id", label_col, "count_all"])
+
+    partial.__name__ = "cluster_label_counts"
+    schema = pa.schema([("cluster_id", pa.int64()), (label_col, pa.int64()), ("count_all", pa.int64())])
+    g = sum_by_key(assigned, schema, ["cluster_id", label_col], partial).to_pandas()
+    g = g.sort_values(["cluster_id", "count_all", label_col], ascending=[True, False, True])
+    tot = g.groupby("cluster_id", sort=True)["count_all"].sum()
+    top = g.drop_duplicates("cluster_id")
+    return dataset(
+        pa.table(
             {
-                "_pk": counts.index.to_numpy().astype("int64"),
-                "_n": counts.to_numpy().astype("int64"),
+                "cluster_id": pa.array(top["cluster_id"], pa.int64()),
+                "n_vectors": pa.array(tot.loc[top["cluster_id"]].to_numpy(), pa.int64()),
+                "top_label": pa.array(top[label_col], pa.int64()),
+                "n_top": pa.array(top["count_all"], pa.int64()),
             }
         )
-
-    partial.__name__ = "pack_cluster_label_counts"
-    reduced = (
-        assigned.map_batches(partial, batch_format="pandas")
-        .groupby("_pk")
-        .aggregate(Sum("_n", alias_name="n"))
-    )
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        pk = df["_pk"].to_numpy(dtype="int64")
-        g = pd.DataFrame(
-            {"cluster_id": pk >> 32, "label": pk & 0xFFFFFFFF, "n": df["n"]}
-        ).sort_values(["cluster_id", "n", "label"], ascending=[True, False, True])
-        tot = g.groupby("cluster_id", sort=True)["n"].sum().rename("n_vectors")
-        top = g.drop_duplicates("cluster_id").set_index("cluster_id")
-        out = pd.concat([tot, top[["label", "n"]]], axis=1).reset_index()
-        return pd.DataFrame(
-            {
-                "cluster_id": out["cluster_id"].astype("int64"),
-                "n_vectors": out["n_vectors"].astype("int64"),
-                "top_label": out["label"].astype("int64"),
-                "n_top": out["n"].astype("int64"),
-            }
-        )
-
-    finish.__name__ = "majority_per_cluster"
-    # k × |labels|-sized table: one-task repartition is the documented bound
-    return reduced.repartition(1).map_batches(
-        finish, batch_format="pandas", batch_size=None
     )
 
 

@@ -8,12 +8,12 @@ the north rule mandates (SURVEY.md §2.3 ST1, §2.5 A5).
 
 Execution pattern (scale-sane): a map-only ``map_batches`` stage emits ONE
 serialized partial sketch row per (block, column, kind), and the driver folds
-the rows as they stream in (``SketchFold``) — no exchange barrier, never the
-data. Once the held payloads pass FOLD_WINDOW_BYTES the driver collapses them
-into one partial per (column, kind), so it holds at most one window of
-partials whatever the block count. All sketches merge associatively, so the
-same partials can be persisted in the checkpoint manifest and merged across
-resumed runs.
+the rows as they stream in (``stages/fold.py``) — no exchange barrier, never
+the data. Once the held payloads pass ``fold.FOLD_WINDOW_BYTES`` the driver
+collapses them into one partial per (column, kind), so it holds at most one
+window of partials whatever the block count. All sketches merge
+associatively, so the same partials can be persisted in the checkpoint
+manifest and merged across resumed runs.
 
 Hashing: ``hash64`` = pandas.util.hash_array (64-bit, stable across processes
 and runs — unlike Python's salted hash()). It stays the hash of the HLL and
@@ -32,6 +32,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from .fold import fold_payloads, sum_by_key
 
 
 def hash64(values: np.ndarray) -> np.ndarray:
@@ -416,61 +418,11 @@ class SketchPartials:
         )
 
 
-#: partial payload bytes the driver holds before the one combine level
-#: merges them into one partial per (column, kind): driver memory stays one
-#: window whatever the block count (a 16 KB HLL partial per block is a
-#: multi-GB fan-in at 10^12-turn block counts if held whole)
-FOLD_WINDOW_BYTES = 64 << 20
-
-
-def _merge_payloads(payloads: list[bytes]):
-    """Merge serialized partials in a canonical order (sorted by their
-    bytes), so the result depends only on the set of partials — not on the
-    order the blocks finish in (t-digest merges are order-sensitive)."""
-    merged = None
-    for b in sorted(payloads):
-        sk = pickle.loads(b)
-        merged = sk if merged is None else merged.merge(sk)
-    return merged
-
-
-class SketchFold:
-    """Driver-side fold of (col, kind, payload) rows as they stream in; rows
-    with a null payload are skipped. ``result()`` -> {(col, kind): sketch}."""
-
-    def __init__(self):
-        self.held: dict[tuple[str, str], list[bytes]] = {}
-        self.held_bytes = 0
-
-    def add(self, rows: pa.Table) -> None:
-        for col, kind, payload in zip(
-            rows["col"].to_pylist(), rows["kind"].to_pylist(), rows["payload"].to_pylist()
-        ):
-            if payload is not None:
-                self.held.setdefault((col, kind), []).append(payload)
-                self.held_bytes += len(payload)
-        if self.held_bytes > FOLD_WINDOW_BYTES:
-            self._combine()
-
-    def _combine(self) -> None:
-        self.held = {k: [pickle.dumps(v)] for k, v in self.result().items()}
-        self.held_bytes = sum(len(p[0]) for p in self.held.values())
-
-    def result(self) -> dict[tuple[str, str], Any]:
-        return {k: _merge_payloads(self.held[k]) for k in sorted(self.held)}
-
-
 def sketch_dataset(ds, plan: dict[str, tuple[str, ...]]):
     """ds -> merged sketches {(col, kind): sketch}. Projects to the planned
     columns, emits one partial row per (block, column, kind) map-side, and
-    folds the rows on the driver as they stream in (``SketchFold``)."""
-    fold = SketchFold()
-    partials = ds.select_columns(list(plan)).map_batches(
-        SketchPartials(plan), batch_format="pyarrow", batch_size=None
-    )
-    for rows in partials.iter_batches(batch_size=None, batch_format="pyarrow"):
-        fold.add(rows)
-    return fold.result()
+    folds the rows on the driver as they stream in (``fold.fold_payloads``)."""
+    return fold_payloads(ds.select_columns(list(plan)), SketchPartials(plan), ("col", "kind"))
 
 
 def profile_table(sketches: dict[tuple[str, str], Any]) -> pd.DataFrame:
@@ -583,88 +535,33 @@ def heavy_hitters_exact(ds, col: str, threshold_permille: int = 8):
       has frequency ≥ t in at least one block. The candidate set is
       bounded by blocks × 1000/threshold_permille — a documented bounded
       driver pull, independent of corpus size. The same pass counts rows.
-    - Pass 2 (exact verify): candidates broadcast once via ray.put; each
-      batch counts ONLY candidate occurrences (vectorized pc.is_in +
-      value_counts); one additive groupby(col).Sum; keep
-      count ≥ ceil(n × t).
+    - Pass 2 (exact verify): each block counts ONLY candidate occurrences
+      (vectorized pc.is_in + Arrow group_by), the driver sums the counts
+      (``fold.sum_by_key``); keep count ≥ ceil(n × t).
 
     No corpus shuffle — only candidate-count rows move. Returns (col, n)."""
-    import ray
-    from ray.data.aggregate import Sum
-
     thr = int(threshold_permille)
     # ceil(nb * thr / 1000) occurrences = local frequency >= threshold
     n_total, pulled = local_frequency_candidates(
         ds, col, lambda nb: (nb * thr + 999) // 1000
     )
     support = (n_total * thr + 999) // 1000
-    cand = sorted(set(pulled))
-    if not cand:
-        # pa.Table, not from_arrow: see the return-type note at the finish
-        sch = ds.schema()
-        col_type = dict(zip(sch.names, sch.types))[col]
-        return pa.table(
-            {col: pa.array([], type=col_type), "n": pa.array([], pa.int64())}
-        )
-    ref = ray.put(set(cand))
-
-    class CountCandidates:
-        def __init__(self, cand_ref):
-            obj = cand_ref
-            try:
-                if isinstance(obj, ray.ObjectRef):
-                    obj = ray.get(obj)
-            except Exception:
-                pass
-            self.cand = pa.array(sorted(obj))
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            out_type = t.schema.field(col).type
-            if len(t) == 0:
-                return pa.table(
-                    {col: pa.array([], type=out_type), "_n": pa.array([], pa.int64())}
-                )
-            import pyarrow.compute as pc
-
-            kept = t.filter(pc.fill_null(pc.is_in(t[col], value_set=self.cand), False))
-            counts = pd.Series(kept[col].to_numpy(zero_copy_only=False)).value_counts()
-            return pa.table(
-                {
-                    col: pa.array(counts.index, type=out_type),
-                    "_n": pa.array(counts.to_numpy(dtype=np.int64)),
-                }
-            )
-
-    agg = (
-        ds.select_columns([col])
-        .map_batches(
-            CountCandidates,
-            fn_constructor_kwargs={"cand_ref": ref},
-            batch_format="pyarrow",
-            concurrency=(1, 8),
-        )
-        .groupby(col)
-        .aggregate(Sum("_n", alias_name="n"))
-        .take_all()
-    )
-    # bounded driver finish: <= |candidates| rows, the SAME bound class as
-    # the pass-1 candidate pull. A Dataset-side `.filter()` that removes
-    # every row would hand downstream an empty NO-COLUMN frame (schema
-    # instability on the no-heavy-hitter corpus); building the typed table
-    # here keeps the (col, n) schema whether 0 or 10k hitters survive.
-    kept = [(r[col], int(r["n"])) for r in agg if int(r["n"]) >= support]
-    kept.sort()
     sch = ds.schema()
-    col_type = dict(zip(sch.names, sch.types))[col]
-    # returned as a pyarrow Table, not a Dataset: ray.data.from_arrow on an
-    # EMPTY table loses the schema at to_pandas (no-column frame), and this
-    # result is already driver-materialized and bounded
-    return pa.table(
-        {
-            col: pa.array([v for v, _ in kept], type=col_type),
-            "n": pa.array([n for _, n in kept], pa.int64()),
-        }
-    )
+    schema = pa.schema([(col, dict(zip(sch.names, sch.types))[col]), ("n", pa.int64())])
+    cand = pa.array(sorted(set(pulled)), schema.field(col).type)
+    if not len(cand):
+        return schema.empty_table()
+
+    def count_candidates(t: pa.Table) -> pa.Table:
+        kept = t.filter(pc.fill_null(pc.is_in(t[col], value_set=cand), False))
+        c = kept.group_by(col, use_threads=False).aggregate([([], "count_all")])
+        return c.select([col, "count_all"]).rename_columns(schema.names)
+
+    # bounded driver fold: <= blocks × |candidates| rows, the same bound
+    # class as the pass-1 candidate pull. Returned as a typed pyarrow Table
+    # (col, n), whether 0 or 10k hitters survive.
+    counts = sum_by_key(ds.select_columns([col]), schema, [col], count_candidates)
+    return counts.filter(pc.greater_equal(counts["n"], support))
 
 
 # --- round-5 temporal drift suite (shared by pipelines/queries.py and the

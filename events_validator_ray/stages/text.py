@@ -1023,42 +1023,26 @@ def lang_mix(ds, col: str = "text", by: str = "source"):
     """Corpus language composition by segment: per-(by, lang_pred) doc counts
     — the mixture report a multilingual curation run starts from. Map-only
     partial counts per batch (LangId is vectorized and row-aligned, so the
-    segment column attaches positionally — no join), then ONE packed-key
-    groupby Sum (≤ segments × languages rows after map-side combining)."""
-    from ray.data.aggregate import Sum
+    segment column attaches positionally — no join), folded on the driver
+    (``fold.sum_by_key``; ≤ segments × languages rows per block)."""
+    import pyarrow.compute as pc
+
+    from .fold import dataset, sum_by_key
 
     lid = LangId(col)
+    schema = pa.schema([(by, pa.string()), ("lang_pred", pa.string()), ("n", pa.int64())])
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return pd.DataFrame({"_k": pd.Series(dtype=object), "_n": pd.Series(dtype="int64")})
-        pred = lid(batch)["lang_pred"]
-        seg = pd.Series(batch[by].to_numpy(zero_copy_only=False), dtype=object).fillna("")
-        key = seg.str.cat(pd.Series(pred, dtype=object), sep="\x1f")
-        c = key.value_counts()
-        return pd.DataFrame({"_k": c.index, "_n": c.to_numpy(dtype=np.int64)})
+            return schema.empty_table()
+        seg = pc.fill_null(pc.cast(batch[by], pa.string()), "")
+        t = pa.table({by: seg, "lang_pred": pa.array(lid(batch)["lang_pred"], pa.string())})
+        c = t.group_by([by, "lang_pred"], use_threads=False).aggregate([([], "count_all")])
+        return c.select([by, "lang_pred", "count_all"]).rename_columns(schema.names)
 
     partial.__name__ = "lang_mix_partials"
-
-    def unpack(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame(
-                {by: pd.Series(dtype=object), "lang_pred": pd.Series(dtype=object),
-                 "n": pd.Series(dtype="int64")}
-            )
-        parts = df["_k"].str.split("\x1f", n=1, expand=True)
-        return pd.DataFrame(
-            {by: parts[0], "lang_pred": parts[1], "n": df["n"].astype("int64")}
-        )
-
-    unpack.__name__ = "unpack_lang_mix"
-    return (
-        ds.select_columns(["doc_id", by, col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("_k")
-        .aggregate(Sum("_n", alias_name="n"))
-        .map_batches(unpack, batch_format="pandas")
-    )
+    projected = ds.select_columns(["doc_id", by, col])
+    return dataset(sum_by_key(projected, schema, [by, "lang_pred"], partial))
 
 
 def lexical_diversity(ds, col: str = "text", id_col: str = "doc_id"):

@@ -6,8 +6,8 @@ workloads a batch engine still meets (the `events` table): event-time
 tumbling / session windows, expressed Dataset-first.
 
 - Tumbling: window id = floor(epoch / size) computed in a vectorized
-  map_batches, then an ordinary `groupby(key, window).aggregate(...)` —
-  one hash shuffle of (key, window, partial) rows.
+  map_batches, then one keyed exchange (stages/exchange.py) of (key,
+  window, partial) rows.
 - Session: per-key gap-based segmentation needs ordered per-key state →
   one keyed exchange (stages/exchange.py) + a vectorized multi-key pass per
   bucket.
@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .exchange import exchange
+from .fold import dataset, sum_by_key
 
 #: day string of a NULL timestamp — a real string key keeps the group
 #: joinable (SQL NULL keys don't equi-join; pandas/Ray group them
@@ -214,7 +215,7 @@ class _FunnelBucket:
     time, matching SQL MIN-over-NULLs — they can never advance, since
     `ts > NULL` is never true on either engine). Stage i time = MIN(ts) of
     stage-i events STRICTLY after the stage-(i-1) time. Emits per-bucket
-    PARTIAL counts (stage_idx, _n)."""
+    PARTIAL counts (stage_idx, n_users)."""
 
     def __init__(self, stages: list[str], user_col: str, type_col: str, ts_col: str):
         self.stages = list(stages)
@@ -238,7 +239,7 @@ class _FunnelBucket:
         return pd.DataFrame(
             {
                 "stage_idx": np.arange(len(self.stages), dtype=np.int64),
-                "_n": np.asarray(counts, dtype=np.int64),
+                "n_users": np.asarray(counts, dtype=np.int64),
             }
         )
 
@@ -259,10 +260,9 @@ def funnel_counts(
     Scale shape: project to 3 columns, pre-filter to the funnel's event
     types at the read side of the shuffle, ONE exchange keyed by user
     co-locating each user's events, vectorized per-bucket pandas funnel,
-    then a stages×buckets-row Sum reduce — the final table is len(stages)
-    rows regardless of corpus size."""
-    from ray.data.aggregate import Sum
-
+    then the driver folds the stages×buckets partial rows
+    (``fold.sum_by_key``) — the final table is len(stages) rows regardless
+    of corpus size."""
     wanted = pa.array(sorted(set(stages)), type=pa.string())
 
     def prefilter(t: pa.Table) -> pa.Table:
@@ -273,23 +273,10 @@ def funnel_counts(
         prefilter, batch_format="pyarrow"
     )
     partials = exchange(projected, user_col, _FunnelBucket(stages, user_col, type_col, ts_col))
-    stage_names = list(stages)
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "stage_idx": df["stage_idx"].astype("int64"),
-                "stage": df["stage_idx"].map(dict(enumerate(stage_names))),
-                "n_users": df["n_users"].astype("int64"),
-            }
-        )
-
-    finish.__name__ = "name_stages"
-    return (
-        partials.groupby("stage_idx")
-        .aggregate(Sum("_n", alias_name="n_users"))
-        .map_batches(finish, batch_format="pandas")
-    )
+    schema = pa.schema([("stage_idx", pa.int64()), ("n_users", pa.int64())])
+    t = sum_by_key(partials, schema, ["stage_idx"])
+    stage = pa.array([stages[i] for i in t["stage_idx"].to_pylist()], pa.string())
+    return dataset(t.add_column(1, "stage", stage))
 
 
 def sliding_window_distinct(
@@ -416,12 +403,10 @@ def sessionize_events(ds, key: str, ts_col: str, gap_s: int):
 def user_growth(ds, user_col: str = "user_id", ts_col: str = "ts"):
     """Cumulative-audience report: per day, how many users appear for the
     FIRST time and the running total → (date_utc, n_new, n_cum). Scale
-    shape: groupby(user).Min(first timestamp) — one additive shuffle of
-    (user, µs) rows — then a per-day count whose result is days-sized; the
-    cumulative sum runs on that days-sized table in one task (same bound
-    class as the report plane's per-day views)."""
-    from ray.data.aggregate import Sum
-
+    shape: a bucketed per-user Min(first timestamp) — one additive shuffle
+    of (user, µs) rows — then per-block day counts folded on the driver
+    (``fold.sum_by_key``); the cumulative sum runs on that days-sized table
+    (same bound class as the report plane's per-day views)."""
     from .assembly import bucketed_reduce_per_key
 
     def project(t: pa.Table) -> pa.Table:
@@ -443,45 +428,26 @@ def user_growth(ds, user_col: str = "user_id", ts_col: str = "ts"):
         [("_first_us", "_us", "min")],
     )
 
-    def day_partials(df: pd.DataFrame) -> pd.DataFrame:
-        d = pd.to_datetime(df["_first_us"], unit="us").dt.strftime("%Y-%m-%d")
-        # a user whose timestamps are all NULL has NaT first-activity — count
-        # it under the '(null)' sentinel (dropna would silently drop the
-        # group; the SQL twin COALESCEs to the same sentinel)
-        c = d.fillna("(null)").value_counts()
-        return pd.DataFrame(
-            {"date_utc": c.index, "_n": c.to_numpy().astype("int64")}
-        )
+    def day_partials(t: pa.Table) -> pa.Table:
+        # a user whose timestamps are all NULL has no first day: counted
+        # under the NULL_DATE sentinel, as the SQL twin COALESCEs
+        us = pc.cast(t["_first_us"], pa.int64())
+        day = pa.table({"date_utc": utc_day(pc.cast(us, pa.timestamp("us")))})
+        return day.group_by("date_utc", use_threads=False).aggregate([([], "count_all")])
 
     day_partials.__name__ = "first_day_partials"
-    # per-block day counts -> days-sized Sum (input = blocks × days rows)
-    per_day = (
-        first.map_batches(day_partials, batch_format="pandas")
-        .groupby("date_utc")
-        .aggregate(Sum("_n", alias_name="n_new"))
-    )
-
-    def cumulate(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("date_utc").reset_index(drop=True)
-        df["n_new"] = df["n_new"].astype("int64")
-        df["n_cum"] = df["n_new"].cumsum().astype("int64")
-        return df
-
-    cumulate.__name__ = "cumulate_days"
-    # days-sized table: one-task repartition is the documented bound
-    return per_day.repartition(1).map_batches(
-        cumulate, batch_format="pandas", batch_size=None
+    schema = pa.schema([("date_utc", pa.string()), ("count_all", pa.int64())])
+    per_day = sum_by_key(first, schema, ["date_utc"], day_partials)
+    n_new = per_day["count_all"]
+    return dataset(
+        pa.table({"date_utc": per_day["date_utc"], "n_new": n_new, "n_cum": pc.cumulative_sum(n_new)})
     )
 
 
 class _RetentionBucket:
     """One call = one hash bucket of users: per-user first-activity day and
-    distinct activity days → per-bucket PARTIAL counts keyed by a packed
-    (cohort_day << 20 | day_offset) int64. Offsets are bounded by the
-    corpus's calendar span (< 2^20 days ≈ 2870 years) and day indices by
-    2^43, so the pack is lossless — and the downstream reduce stays a
-    SINGLE-key groupby (multi-key aggregate at millions of rows is the
-    documented Ray hazard, BASELINE.md)."""
+    distinct activity days → per-bucket PARTIAL counts per (cohort_date,
+    day_offset)."""
 
     def __init__(self, user_col: str, ts_col: str):
         self.user_col = user_col
@@ -498,17 +464,14 @@ class _RetentionBucket:
                 "day": (us[valid] // 86_400_000_000).astype("int64"),
             }
         ).drop_duplicates()
-        if len(sub) == 0:
-            return pd.DataFrame(
-                {"_pk": pd.Series(dtype="int64"), "_n": pd.Series(dtype="int64")}
-            )
         d0 = sub.groupby("u", sort=False)["day"].transform("min")
-        packed = (d0.to_numpy() << 20) | (sub["day"].to_numpy() - d0.to_numpy())
-        counts = pd.Series(packed).value_counts()
+        counts = pd.DataFrame({"d0": d0, "day_offset": sub["day"] - d0}).value_counts()
+        d0, off = counts.index.get_level_values(0), counts.index.get_level_values(1)
         return pd.DataFrame(
             {
-                "_pk": counts.index.to_numpy().astype("int64"),
-                "_n": counts.to_numpy().astype("int64"),
+                "cohort_date": pd.to_datetime(d0 * 86400, unit="s").strftime("%Y-%m-%d"),
+                "day_offset": np.asarray(off, dtype=np.int64),
+                "n_users": counts.to_numpy().astype("int64"),
             }
         )
 
@@ -522,27 +485,12 @@ def retention_cohorts(ds, user_col: str = "user_id", ts_col: str = "ts"):
     Scale shape: project to 2 columns, ONE exchange keyed by user co-locating
     each user's events (a user's history is the unit of work — inherent to
     "first day" semantics), per-bucket vectorized dedup/first-day/offset
-    partials, then a days²-bounded single-packed-key Sum reduce. The corpus
-    never moves twice and the driver never sees more than the cohort
-    triangle."""
-    from ray.data.aggregate import Sum
-
+    partials, then the driver folds the days²-bounded partial counts
+    (``fold.sum_by_key``). The corpus never moves twice and the driver never
+    sees more than the cohort triangle times the bucket count."""
     projected = ds.select_columns([user_col, ts_col])
     partials = exchange(projected, user_col, _RetentionBucket(user_col, ts_col))
-    reduced = partials.groupby("_pk").aggregate(Sum("_n", alias_name="n_users"))
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        pk = df["_pk"].to_numpy(dtype="int64")
-        d0 = pk >> 20
-        return pd.DataFrame(
-            {
-                "cohort_date": pd.to_datetime(d0 * 86400, unit="s").strftime(
-                    "%Y-%m-%d"
-                ),
-                "day_offset": (pk & 0xFFFFF).astype("int64"),
-                "n_users": df["n_users"].astype("int64"),
-            }
-        )
-
-    finish.__name__ = "unpack_cohort_key"
-    return reduced.map_batches(finish, batch_format="pandas")
+    schema = pa.schema(
+        [("cohort_date", pa.string()), ("day_offset", pa.int64()), ("n_users", pa.int64())]
+    )
+    return dataset(sum_by_key(partials, schema, ["cohort_date", "day_offset"]))

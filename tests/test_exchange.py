@@ -532,3 +532,75 @@ def test_report_plane_has_no_ray_barrier():
             ):
                 found.append(f"report.py:{n.lineno} .{attr}(")
     assert found == []
+
+
+#: the only Ray reduction barrier outside exchange.py and fold.py:
+#: build_bloom's `repartition` combine, kept because its 512 KB Bloom
+#: partial is 32× the 16 KB HLL partial fold.py folds per block on the
+#: driver (the `map_groups` natural-key sites are NATURAL_KEY_SITES)
+REDUCTION_BARRIER_SITES = {("stages/joins.py", "build_bloom")}
+#: keywords only pandas' `DataFrame.groupby` takes: Ray's `Dataset.groupby`
+#: takes a key and `num_partitions`, and Arrow's is `group_by`
+PANDAS_GROUPBY_KWARGS = {"sort", "dropna", "as_index", "observed", "group_keys", "level"}
+#: modules whose `.unique(` is not `Dataset.unique`
+NOT_A_DATASET = {"np", "numpy", "pc", "pd"}
+
+
+def _reduction_barriers(rel: str, tree: ast.Module) -> list[str]:
+    found = []
+    for top in tree.body:
+        if (rel, getattr(top, "name", "")) in REDUCTION_BARRIER_SITES:
+            continue
+        for n in ast.walk(top):
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)):
+                continue
+            attr, recv = n.func.attr, n.func.value
+            ray_groupby = (
+                isinstance(recv, ast.Call)
+                and getattr(recv.func, "attr", None) == "groupby"
+                and not PANDAS_GROUPBY_KWARGS & {k.arg for k in recv.keywords}
+            )
+            if attr in ("aggregate", "count") and ray_groupby:
+                found.append(f"{rel}:{n.lineno} groupby().{attr}(")
+            elif attr == "unique" and (n.args or n.keywords) and getattr(recv, "id", None) not in NOT_A_DATASET:
+                found.append(f"{rel}:{n.lineno} .unique(")
+            elif attr == "repartition":
+                found.append(f"{rel}:{n.lineno} .repartition(")
+    return found
+
+
+def test_no_ray_reduction_barrier_outside_fold():
+    """Library-wide: outside `stages/exchange.py` and `stages/fold.py`, no
+    Ray `groupby(...).aggregate(...)` or `groupby(...).count()`, no
+    `Dataset.unique(` and no `.repartition(` but the listed site. Bounded
+    reductions fold per block (`fold.sum_by_key`, `fold.fold_payloads`);
+    corpus-cardinality keys go through `exchange()`. A pandas `groupby`
+    (one that passes a pandas-only keyword such as `sort=`), Arrow's
+    `group_by` and `np`/`pc`/`pd.unique` or `Series.unique()` are not Ray
+    barriers."""
+    root = pathlib.Path(events_validator_ray.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel not in ("stages/exchange.py", "stages/fold.py"):
+            found += _reduction_barriers(rel, ast.parse(path.read_text()))
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "src,hit",
+    [
+        ("def f(ds):\n    return ds.groupby('k').aggregate(Sum('n'))", True),
+        ("def f(ds):\n    return ds.groupby('k').count()", True),
+        ("def f(ds):\n    return ds.unique('k')", True),
+        ("def f(ds):\n    return ds.repartition(4)", True),
+        ("def f(df):\n    return df.groupby('k', sort=False).count()", False),
+        ("def f(t):\n    return t.group_by('k').aggregate([])", False),
+        ("def f(v, s):\n    return np.unique(v), pc.unique(v), s.unique()", False),
+        ("def build_bloom(ds):\n    return ds.repartition(8)", False),
+    ],
+)
+def test_reduction_barrier_guard_tells_shapes_apart(src, hit):
+    """The guard flags each Ray shape and passes pandas, Arrow and numpy
+    look-alikes and the listed site."""
+    assert bool(_reduction_barriers("stages/joins.py", ast.parse(src))) == hit

@@ -95,7 +95,7 @@ def test_profile_merged_from_partition_sidecars(ray_session, tmp_path):
 
 def test_run_profile_one_partial_per_file(ray_session, tmp_path, monkeypatch):
     """run_profile reads one block per file, as stage 1 does: two 10,009-row
-    files (above Ray's 10k-row reader batches) send SketchFold one partial
+    files (above Ray's 10k-row reader batches) send the payload fold one partial
     per file and (column, kind), and the profile.json it writes equals the
     one run_validation writes for the same files."""
     from collections import Counter
@@ -105,7 +105,7 @@ def test_run_profile_one_partial_per_file(ray_session, tmp_path, monkeypatch):
     import pyarrow.parquet as pq
 
     from events_validator_ray.pipelines.validate_pipeline import run_profile
-    from events_validator_ray.stages import sketches
+    from events_validator_ray.stages import fold
 
     src = tmp_path / "in"
     src.mkdir()
@@ -125,7 +125,7 @@ def test_run_profile_one_partial_per_file(ray_session, tmp_path, monkeypatch):
         )
         pq.write_table(tbl, src / f"t_{i}.parquet")
     partials = Counter()
-    real_add = sketches.SketchFold.add
+    real_add = fold.PayloadFold.add
 
     def add(self, rows):
         for col, kind, payload in zip(*(rows[c].to_pylist() for c in ("col", "kind", "payload"))):
@@ -133,7 +133,7 @@ def test_run_profile_one_partial_per_file(ray_session, tmp_path, monkeypatch):
                 partials[(col, kind)] += 1
         real_add(self, rows)
 
-    monkeypatch.setattr(sketches.SketchFold, "add", add)
+    monkeypatch.setattr(fold.PayloadFold, "add", add)
     run_profile(str(src), str(tmp_path / "prof"))
     assert len(partials) == 8 and set(partials.values()) == {2}
     partials.clear()

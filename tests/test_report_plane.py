@@ -20,6 +20,7 @@ import pytest
 
 from events_validator_ray.pipelines import report
 from events_validator_ray.sources import readers
+from events_validator_ray.stages import fold
 from events_validator_ray.stages.validate import VIOLATION_SCHEMA
 from events_validator_ray.stages.windows import utc_day
 
@@ -62,13 +63,13 @@ def _frame(ds) -> pd.DataFrame:
     return df.astype(object).where(df.notna(), None)
 
 
-@pytest.mark.parametrize("fold_rows", [report.FOLD_ROWS, 1])
+@pytest.mark.parametrize("fold_rows", [fold.FOLD_ROWS, 1])
 def test_failures_by_day_matches_twin(ray_session, monkeypatch, fold_rows):
     """Same rows as the twin, in (date_utc, field) order, whether the
     driver folds once or after every partial."""
     import ray.data as rd
 
-    monkeypatch.setattr(report, "FOLD_ROWS", fold_rows)
+    monkeypatch.setattr(fold, "FOLD_ROWS", fold_rows)
     blocks = _log_blocks()
     got = _frame(report.failures_by_day(rd.from_arrow(blocks)))
     want = _twin(
@@ -86,11 +87,11 @@ def test_failures_by_day_matches_twin(ray_session, monkeypatch, fold_rows):
     assert set.intersection(*per_block)  # a (day, field) the fold must sum
 
 
-@pytest.mark.parametrize("fold_rows", [report.FOLD_ROWS, 1])
+@pytest.mark.parametrize("fold_rows", [fold.FOLD_ROWS, 1])
 def test_worst_offenders_matches_twin(ray_session, monkeypatch, fold_rows):
     import ray.data as rd
 
-    monkeypatch.setattr(report, "FOLD_ROWS", fold_rows)
+    monkeypatch.setattr(fold, "FOLD_ROWS", fold_rows)
     blocks = _log_blocks()
     got = _frame(report.worst_offenders(rd.from_arrow(blocks), k=7))
     want = _twin(
@@ -181,6 +182,30 @@ def test_daily_error_rate_across_buckets_matches_twin(ray_session, force_buckets
     # an event id that is error in one block and valid in another
     ids = [{s: {r["event_id"] for r in b.to_pylist() if r["status"] == s} for s in ("error", "valid")} for b in blocks]
     assert any(ids[i]["error"] & ids[j]["valid"] for i in range(4) for j in range(4) if i != j)
+
+
+@pytest.mark.parametrize("approx", [False, True])
+def test_daily_error_rate_keeps_a_day_of_null_event_ids(ray_session, approx):
+    """A day whose rows all have a NULL event id stays, with 0 events and
+    0 error events, as in the twin's COUNT(DISTINCT event_id) ... GROUP BY
+    date_utc; a NULL id is no event in either path."""
+    import ray.data as rd
+
+    cols = {
+        "event_id": ["a", None, None],
+        "timestamp": [BASE_US, BASE_US + DAY_US, BASE_US + DAY_US + 5],
+        "status": ["valid", "error", "error"],
+    }
+    log = [pa.table({f.name: pa.array(cols.get(f.name, [None] * 3), f.type) for f in VIOLATION_SCHEMA})]
+    rate = report.daily_error_rate(rd.from_arrow(log), approx=approx)
+    want = _twin(
+        f"SELECT {TWIN_DAY} AS date_utc, COUNT(DISTINCT event_id) AS n_events, "
+        "COUNT(DISTINCT event_id) FILTER (WHERE status = 'error') AS n_error_events "
+        "FROM log GROUP BY ALL ORDER BY date_utc",
+        log,
+    ).values.tolist()
+    assert want == [["2024-01-01", 1, 0], ["2024-01-02", 0, 0]]
+    assert rate[["date_utc", "n_events", "n_error_events"]].values.tolist() == want
 
 
 def _us(y, m, d, hh=0, mm=0, ss=0, us=0) -> int:

@@ -118,14 +118,14 @@ def test_sketch_combine_fanin_bounded(ray_session, monkeypatch):
     import pandas as pd
     import ray.data as rd
 
-    from events_validator_ray.stages import sketches
+    from events_validator_ray.stages import fold
 
     n_blocks = 32
     df = pd.DataFrame({"x": np.arange(20_000), "y": np.arange(20_000) % 7})
     ds = rd.from_pandas(df).repartition(n_blocks).materialize()
     plan = {"x": ("stats", "hll"), "y": ("stats",)}  # 3 (col, kind) keys
     pulled, held, combines = [], [], []
-    real_add, real_combine = sketches.SketchFold.add, sketches.SketchFold._combine
+    real_add, real_combine = fold.PayloadFold.add, fold.PayloadFold._combine
 
     def add(self, rows):
         pulled.append(rows.num_rows)
@@ -136,13 +136,13 @@ def test_sketch_combine_fanin_bounded(ray_session, monkeypatch):
         combines.append(self.held_bytes)
         real_combine(self)
 
-    monkeypatch.setattr(sketches.SketchFold, "add", add)
-    monkeypatch.setattr(sketches.SketchFold, "_combine", combine)
+    monkeypatch.setattr(fold.PayloadFold, "add", add)
+    monkeypatch.setattr(fold.PayloadFold, "_combine", combine)
     whole = sketch_dataset(ds, plan)
     assert sum(pulled) == n_blocks * 3 and not combines
 
     pulled.clear(), held.clear()
-    monkeypatch.setattr(sketches, "FOLD_WINDOW_BYTES", 1)
+    monkeypatch.setattr(fold, "FOLD_WINDOW_BYTES", 1)
     sk = sketch_dataset(ds, plan)
     assert sum(pulled) == n_blocks * 3
     assert len(combines) == len(pulled) and max(held) == 1
