@@ -4,31 +4,36 @@ checkpoint manifest.
 
 Stage layout (all Ray-Data-native; raw Ray tasks are never needed):
 
-1. scalar stage — per input-file partition, ONE map-only pass:
-   ``read_parquet(files)`` with one read task per file (the log, the hot
-   candidates and the sketch partials are per file; ``run_profile`` reads
-   the same way) -> one stateless ``map_batches(ScalarPass)`` that
-   validates each block, writes its log file into the partition's atomic tmp
-   dir and returns counts, the block's hot-conversation candidates and
-   sketch partials, folded on the driver as they stream in; then the
-   rename, the sketch sidecar and one manifest record (its ``extra`` keeps
-   the candidates). No materialize, count or exchange barrier; resumable
-   per partition.
+1. scalar stage — ONE map-only streaming pass over every pending
+   input-file partition (``_stream_partitions``): one
+   ``read_parquet(files, include_paths=True)`` with one read task per
+   session CPU, never more than one per file (the log, the hot candidates
+   and the sketch partials stay per file; ``run_profile`` reads the same
+   way) -> one stateless ``map_batches(ScalarPass)`` that validates each
+   file's rows, writes their log file into the partition's atomic tmp dir
+   and returns counts, hot-conversation candidates and sketch partials,
+   each row tagged with its partition. The driver folds them per partition
+   as they stream in, and commits a partition — the rename, the sketch
+   sidecar and one manifest record (its ``extra`` keeps the candidates) —
+   as soon as all its input rows, counted against the parquet footers, are
+   summarized. No materialize, count or exchange barrier; resumable per
+   partition.
 2. conversation stage — the keyed exchange of ``stages/conversation.py``
-   over the PROJECTED key columns (conv_id, turn_idx, ts, role — never
-   `text`), with the hot set stage 1 proposed, so its input executes once;
-   its input is read as one block per session CPU
-   (``sources/readers.py:read_parquet_per_cpu``), as the read-back of the
-   log is; written once, its own manifest record (resume skips it
-   wholesale).
+   over the key columns (``conversation.key_columns``: conv_id, turn_idx,
+   ts, role — never `text`), projected in the read, with the hot set stage
+   1 proposed, so its input executes once; its input is read as one block
+   per session CPU (``sources/readers.py:read_parquet_per_cpu``), as the
+   read-back of the log is; written once, its own manifest record (resume
+   skips it wholesale).
 3. profile stage — mergeable sketches (stats/HLL/t-digest/cat-hist), partials
    merged to a JSON profile in the manifest directory; drift scored against a
    stored reference profile when provided.
 
-Scale: partition granularity (`files_per_partition`) controls the resume
-quantum; within a partition Ray's streaming executor pipelines
-read->validate->write with backpressure. At 10^12 turns, one partition ≈ one
-cluster-filling wave of blocks.
+Scale: partition granularity (`files_per_partition`) sets the resume
+quantum only; stage 1's parallelism is the cluster's, since one read spans
+every pending partition and Ray's streaming executor pipelines
+read->validate->write across them with backpressure, committing each
+partition as its last rows land.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ import pyarrow.parquet as pq
 from ..sources.readers import read_parquet_per_cpu, read_violations_dir
 from ..spec import Spec
 from ..stages import conversation
+from ..stages.exchange import session_cpus
 from ..stages.fold import PayloadFold
 from ..stages.sketches import SketchPartials, drift_report, frequent_values, profile_table
-from ..stages.sketches import sketch_dataset
 from ..stages.validate import DEFAULT_RUN_TS, ValidateBatch
 from ..state.manifest import (
     Manifest,
@@ -69,31 +74,171 @@ DEFAULT_SKETCH_PLAN = {
 }
 
 
-class ScalarPass:
-    """Stage 1's map-only UDF: validate a block, write its log as one parquet
-    file into ``log_dir``, and return one row of (file, n_rows, n_err,
-    n_valid, hot) — file null for an empty log, hot the conv_ids that hold
-    at least ``conversation.CHUNK`` of the block's rows — followed by the
-    block's sketch partial rows (``SketchPartials``)."""
+class FilePass:
+    """Base of stage 1's map-only UDFs. Its blocks come from the one read
+    over every pending partition's files, each row with its source file in
+    Ray's ``path`` column. A block is split by file (the read yields one
+    block per file or per 2^17 rows of it, so there is usually one), and each
+    file's rows go to ``summarize(rows, part_id)``. Every summary row is
+    tagged with its partition (``part``), after a leading row per file
+    whose ``n_in`` counts the file's rows before any filter: the driver
+    commits a partition once these counts reach its parquet footers'."""
 
-    def __init__(self, spec: Spec, run_ts, log_valid: bool, plan: dict, log_dir: str):
-        self.validate = ValidateBatch(spec, run_ts=run_ts, log_valid=log_valid)
-        self.sketch = SketchPartials(plan)
-        self.log_dir = log_dir
-        self.chunk = conversation.CHUNK  # read on the driver; travels with the UDF
+    def __init__(self, parts: list[tuple[str, list[str]]]):
+        self.part_of = {f: part_id for part_id, files in parts for f in files}
 
     def __call__(self, block: pa.Table) -> pa.Table:
+        paths = block["path"]
+        block = block.drop_columns(["path"])
+        names = pc.unique(paths).to_pylist()
+        out = []
+        for path in names:
+            rows = block if len(names) == 1 else block.filter(pc.equal(paths, path))
+            part = self.part_of[path]
+            summary = self.summarize(rows, part)
+            out.append(pa.table({"part": [part], "n_in": [rows.num_rows]}))
+            out.append(summary.append_column("part", pa.array([part] * summary.num_rows, pa.string())))
+        return pa.concat_tables(out, promote_options="default")
+
+    def summarize(self, rows: pa.Table, part_id: str) -> pa.Table:
+        raise NotImplementedError
+
+
+class ScalarPass(FilePass):
+    """``run_validation``'s stage 1: keep a file's rows of the ``convs``
+    conversations (and its NULL-conv_id rows) when a set is given, validate
+    them, write their log as one parquet file into the partition's tmp dir
+    (``tmp_dirs``), and return one row of (file, n_rows, n_err, n_valid, hot)
+    — file null for an empty log, hot the conv_ids that hold at least
+    ``conversation.CHUNK`` of the rows — followed by the rows' sketch
+    partial rows (``SketchPartials``)."""
+
+    def __init__(self, parts, spec: Spec, run_ts, log_valid: bool, plan: dict,
+                 tmp_dirs: dict[str, str], convs: pa.Array | None = None):
+        super().__init__(parts)
+        self.validate = ValidateBatch(spec, run_ts=run_ts, log_valid=log_valid)
+        self.sketch = SketchPartials(plan)
+        self.tmp_dirs, self.convs = tmp_dirs, convs
+        self.chunk = conversation.CHUNK  # read on the driver; travels with the UDF
+
+    def summarize(self, block: pa.Table, part_id: str) -> pa.Table:
+        if self.convs is not None:
+            key = block["conv_id"]
+            member = pc.fill_null(pc.is_in(key, value_set=self.convs), False)
+            block = block.filter(pc.or_(member, pc.is_null(key)))
         log = self.validate(block)
         name = None
         if log.num_rows:
             name = f"{uuid.uuid4().hex}.parquet"
-            pq.write_table(log, os.path.join(self.log_dir, name))
+            pq.write_table(log, os.path.join(self.tmp_dirs[part_id], name))
         n_err = pc.sum(pc.equal(log["status"], "error")).as_py() or 0
         hot = frequent_values(block["conv_id"], self.chunk)
         counts = pa.table({"file": pa.array([name], pa.string()), "n_rows": [block.num_rows],
                            "n_err": [n_err], "n_valid": [log.num_rows - n_err],
                            "hot": pa.ListArray.from_arrays([0, len(hot)], hot)})
         return pa.concat_tables([counts, self.sketch(block)], promote_options="default")
+
+
+class ProfilePass(FilePass):
+    """``run_profile``'s stage 1: a file's sketch partial rows."""
+
+    def __init__(self, parts, plan: dict):
+        super().__init__(parts)
+        self.sketch = SketchPartials(plan)
+
+    def summarize(self, rows: pa.Table, part_id: str) -> pa.Table:
+        return self.sketch(rows)
+
+
+class _Stage1Fold:
+    """The driver's fold of one partition's ``ScalarPass`` rows."""
+
+    def __init__(self):
+        self.sketches = PayloadFold(("col", "kind"))
+        self.files, self.hot = set(), set()
+        self.n_rows = self.n_err = self.n_valid = 0
+
+    def add(self, rows: pa.Table) -> None:
+        self.sketches.add(rows)
+        self.files.update(f for f in rows["file"].to_pylist() if f is not None)
+        self.n_rows += pc.sum(rows["n_rows"]).as_py() or 0
+        self.n_err += pc.sum(rows["n_err"]).as_py() or 0
+        self.n_valid += pc.sum(rows["n_valid"]).as_py() or 0
+        self.hot.update(pc.list_flatten(rows["hot"]).to_pylist())
+
+
+def _footer_rows(files: list[str], columns: list[str] | None = None) -> dict[str, int]:
+    """Each file's row count, from its parquet footer. Refuses a read whose
+    columns include ``path``: Ray adds each row's source file under that
+    name, and cannot when the file has such a column of its own."""
+    rows = {}
+    for f in files:
+        meta = pq.read_metadata(f)
+        if "path" in (columns if columns is not None else meta.schema.to_arrow_schema().names):
+            raise ValueError(
+                f"{f} has a column named 'path'; stage 1 reads each row's source "
+                "file under that name, so rename the column to validate or profile this corpus"
+            )
+        rows[f] = meta.num_rows
+    return rows
+
+
+def _stream_partitions(parts: list[tuple[str, list[str]]], rows_in: dict[str, int], block_pass: FilePass,
+                       new_fold, columns: list[str] | None = None):
+    """Stage 1's one streaming pass over every partition in ``parts``
+    ((part_id, files) pairs): one ``read_parquet`` of their files with one
+    read task per session CPU but never more tasks than files (a task reads
+    whole files, so blocks, log files and partials stay per file, as with
+    one task per file), then ``block_pass`` once per block. ``rows_in`` is
+    ``_footer_rows`` of the files, taken before the caller opens anything.
+
+    The driver folds each partition's summary rows into its own
+    ``new_fold()`` and yields (part_id, fold) as soon as the partition's
+    input rows are all summarized; partitions of zero rows come first.
+    Raises if the stream ends with a partition whose summarized rows do not
+    match its footers."""
+    import ray
+    import ray.data as rd
+
+    files = list(rows_in)
+    want = {part_id: sum(rows_in[f] for f in part_files) for part_id, part_files in parts}
+    folds = {part_id: new_fold() for part_id in want}
+    for part_id in [p for p, n in want.items() if n == 0]:
+        yield part_id, folds.pop(part_id)
+    if not folds:
+        return
+    got = dict.fromkeys(folds, 0)
+    # pyarrow's batches (at most 2^17 rows, never from two files) rather
+    # than Ray's 10k-row reader batches, so the log is about one file per
+    # input file
+    src = rd.read_parquet(
+        files,
+        columns=columns,
+        override_num_blocks=min(len(files), session_cpus() if ray.is_initialized() else os.cpu_count() or 1),
+        batch_size=None,
+        include_paths=True,
+    )
+    summaries = src.map_batches(block_pass, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+    for rows in summaries.iter_batches(batch_size=None, batch_format="pyarrow"):
+        for part_id in pc.unique(rows["part"]).to_pylist():
+            mine = rows.filter(pc.equal(rows["part"], part_id))
+            folds[part_id].add(mine)
+            got[part_id] += pc.sum(mine["n_in"]).as_py() or 0
+            if got[part_id] == want[part_id]:
+                yield part_id, folds.pop(part_id)
+    if folds:
+        short = ", ".join(f"{p} ({got[p]} of {want[p]} rows)" for p in sorted(folds))
+        raise RuntimeError(f"stage 1 ended with partitions whose rows do not match their parquet footers: {short}")
+
+
+def _write_sidecar(parts_dir: str, part_id: str, sketches: dict) -> str:
+    """Persist a partition's merged sketch partials (so a resumed run merges
+    without recomputing — SURVEY.md §7.4 item 4); returns the path."""
+    sidecar = os.path.join(parts_dir, f"{part_id}.pkl")
+    with open(sidecar + ".tmp", "wb") as f:
+        pickle.dump(sketches, f)
+    os.replace(sidecar + ".tmp", sidecar)
+    return sidecar
 
 
 def _plan(sketch_plan: dict | None) -> tuple[dict, str]:
@@ -129,12 +274,21 @@ def run_validation(
     those conversations — the incremental-revalidation path downstream of
     ``changed_conversations`` / ``runner --diff``. The id set is part of
     the resume identity (folded into the spec hash), so a re-run with a
-    different set never serves stale partitions. The set is broadcast once
-    (ray.put) and applied as a map-side Arrow ``is_in`` filter — fine to
-    ~10^7 ids on the driver; beyond that, pre-filter the corpus with
-    ``stages.joins.bloom_semi_join`` instead."""
-    import ray.data as rd
+    different set never serves stale partitions. The set travels once with
+    stage 1's UDF (Ray puts a map's UDF in the object store once per run)
+    and once with the conversation stage's filter, and is applied as a
+    map-side Arrow ``is_in`` filter — fine to ~10^7 ids on the driver;
+    beyond that, pre-filter the corpus with ``stages.joins.bloom_semi_join``
+    instead.
 
+    Stage 1 is one streaming pass over every pending partition
+    (``_stream_partitions``): one read, one Ray execution, as many read
+    tasks as the session has CPUs (at most one per file). Each partition is
+    committed — stray files swept, tmp dir renamed, sketch sidecar and
+    manifest record written — as soon as all its input rows are
+    summarized, so the resume quantum stays one partition while the
+    parallelism is the cluster's. A record's ``wall_s`` is the time since
+    the previous stage-1 commit; the walls add up to stage 1."""
     files = sorted(_glob.glob(os.path.join(input_path, "*.parquet")))
     if not files:
         raise FileNotFoundError(f"no parquet files under {input_path}")
@@ -155,31 +309,18 @@ def run_validation(
         except OSError:
             pass
 
-    # ---- stage 1: scalar validation + sketch partials, per partition
+    # ---- stage 1: scalar validation + sketch partials, one streaming pass
     # the sketch PLAN is part of the resume identity: fold its hash into the
     # spec hash used by every stage-1/profile record, or a re-run with a
     # different plan would silently serve the OLD plan's sidecars/profile
     plan, plan_hash = _plan(sketch_plan)
     spec_hash = f"{spec_hash}+plan:{plan_hash}"
-    conv_filter = None
+    conv_list = None
     if only_convs is not None:
-        from ..stages.joins import arrow_semi_filter
-
         conv_list = sorted({c for c in only_convs if c is not None})
         convs_hash = _hashlib.sha256("\x1f".join(conv_list).encode()).hexdigest()[:8]
         # the id set is part of the resume identity, like the sketch plan
         spec_hash = f"{spec_hash}+convs:{convs_hash}"
-
-        import ray as _ray
-
-        # broadcast ONCE — stage 1 filters every partition against this set
-        convs_ref = _ray.put(pa.array(conv_list, type=pa.string()))
-
-        # keep_nulls: NULL-conv_id rows are invisible to the snapshot diff
-        # (no key to match), so the incremental pass must always revalidate
-        # them — dropping them would silently skip their violations
-        def conv_filter(ds):
-            return arrow_semi_filter(ds, convs_ref, on="conv_id", keep_nulls=True)
     parts_dir = os.path.join(out_dir, "profile_parts")
     os.makedirs(parts_dir, exist_ok=True)
     parts = _partitions(files, files_per_partition)
@@ -199,69 +340,62 @@ def run_validation(
                 os.remove(p)
             except OSError:
                 pass
+    pending, fps, files_of = [], {}, dict(parts)
     for part_id, part_files in parts:
-        fp = fingerprint_files(part_files)
+        fps[part_id] = fp = fingerprint_files(part_files)
         done = manifest.completed(part_id, fp, spec_hash) if resume else None
-        sidecar = os.path.join(parts_dir, f"{part_id}.pkl")
         # a record without hot candidates predates them: re-run it
-        if done and os.path.exists(sidecar) and "hot_convs" in done.extra:
+        if done and os.path.exists(os.path.join(parts_dir, f"{part_id}.pkl")) and "hot_convs" in done.extra:
             total_rows += done.n_rows
             hot.update(done.extra["hot_convs"])
             summary["skipped"] += 1
-            summary["partitions"].append(done.partition_id)
-            continue
-        t0 = time.time()
-        final_dir = os.path.join(out_dir, "violations", part_id)
-        # one read per partition; one task per file and pyarrow's batching (a
-        # block per row group, at most 2^17 rows) rather than Ray's 10k-row
-        # reader batches, so the log is about one file per input file
-        src = rd.read_parquet(part_files, override_num_blocks=len(part_files), batch_size=None)
-        if conv_filter is not None:
-            src = conv_filter(src)
-        fold, named, part_hot = PayloadFold(("col", "kind")), set(), set()
-        n_rows = n_err = n_valid = 0
-        with atomic_output_dir(final_dir) as tmp:
-            summaries = src.map_batches(
-                ScalarPass(spec, run_ts, log_valid, plan, tmp),
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-            )
-            for rows in summaries.iter_batches(batch_size=None, batch_format="pyarrow"):
-                fold.add(rows)
-                named.update(f for f in rows["file"].to_pylist() if f is not None)
-                n_rows += pc.sum(rows["n_rows"]).as_py() or 0
-                n_err += pc.sum(rows["n_err"]).as_py() or 0
-                n_valid += pc.sum(rows["n_valid"]).as_py() or 0
-                part_hot.update(pc.list_flatten(rows["hot"]).to_pylist())
+        else:
+            pending.append((part_id, part_files))
+    rows_in = _footer_rows([f for _, part_files in pending for f in part_files])
+    # every pending partition's atomic tmp dir is open for the whole pass;
+    # each is renamed at its partition's commit, and removed if the pass fails
+    opened, t_last = {}, time.time()
+    try:
+        for part_id, _ in pending:
+            cm = atomic_output_dir(os.path.join(out_dir, "violations", part_id))
+            opened[part_id] = (cm, cm.__enter__())
+        convs = None if conv_list is None else pa.array(conv_list, pa.string())
+        block_pass = ScalarPass(
+            pending, spec, run_ts, log_valid, plan, {p: tmp for p, (_, tmp) in opened.items()}, convs
+        )
+        for part_id, fold in _stream_partitions(pending, rows_in, block_pass, _Stage1Fold):
+            cm, tmp = opened.pop(part_id)
             # drop what no summary names: a retried task's leftover file
             for f in os.listdir(tmp):
-                if f not in named:
+                if f not in fold.files:
                     os.remove(os.path.join(tmp, f))
-        # mergeable sketch partials for THIS partition (persisted so a resumed
-        # run merges without recomputing — SURVEY.md §7.4 item 4)
-        with open(sidecar + ".tmp", "wb") as f:
-            pickle.dump(fold.result(), f)
-        os.replace(sidecar + ".tmp", sidecar)
-        manifest.append(
-            PartitionRecord(
-                partition_id=part_id,
-                input_files=part_files,
-                fingerprint=fp,
-                spec_hash=spec_hash,
-                status="done",
-                n_rows=n_rows,
-                n_violations=n_err,
-                n_valid=n_valid,
-                output_path=final_dir,
-                wall_s=round(time.time() - t0, 3),
-                extra={"profile_part": sidecar, "hot_convs": sorted(part_hot)},
+            cm.__exit__(None, None, None)
+            sidecar = _write_sidecar(parts_dir, part_id, fold.sketches.result())
+            now = time.time()
+            manifest.append(
+                PartitionRecord(
+                    partition_id=part_id,
+                    input_files=files_of[part_id],
+                    fingerprint=fps[part_id],
+                    spec_hash=spec_hash,
+                    status="done",
+                    n_rows=fold.n_rows,
+                    n_violations=fold.n_err,
+                    n_valid=fold.n_valid,
+                    output_path=os.path.join(out_dir, "violations", part_id),
+                    wall_s=round(now - t_last, 3),
+                    extra={"profile_part": sidecar, "hot_convs": sorted(fold.hot)},
+                )
             )
-        )
-        total_rows += n_rows
-        hot |= part_hot
-        summary["executed"] += 1
-        summary["partitions"].append(part_id)
+            t_last = now
+            total_rows += fold.n_rows
+            hot |= fold.hot
+            summary["executed"] += 1
+    except BaseException as e:
+        for cm, _ in opened.values():
+            cm.__exit__(type(e), e, e.__traceback__)
+        raise
+    summary["partitions"] = [part_id for part_id, _ in parts]
 
     # ---- stage 2: conversation checks (one keyed exchange over all inputs)
     conv_fp = fingerprint_files(files)
@@ -273,9 +407,15 @@ def run_validation(
         final_dir = os.path.join(out_dir, "violations", "conversation")
         # one block per CPU: the exchange re-blocks by bucket anyway, so a
         # block per MiB would only add scheduling to every stage before it
-        ds = read_parquet_per_cpu(files)
-        if conv_filter is not None:
-            ds = conv_filter(ds)
+        ds = read_parquet_per_cpu(files, columns=conversation.key_columns(spec))
+        if conv_list is not None:
+            from ..stages.joins import arrow_semi_filter
+
+            # keep_nulls: NULL-conv_id rows are invisible to the snapshot diff
+            # (no key to match), so the incremental pass must always
+            # revalidate them — dropping them would silently skip their
+            # violations (ScalarPass keeps them too)
+            ds = arrow_semi_filter(ds, conv_list, on="conv_id", keep_nulls=True)
         # small (violations only); count without re-reading
         conv = conversation.conversation_violations(
             ds, spec, run_ts, chunk=conversation.CHUNK, skew=(total_rows, sorted(hot))
@@ -394,9 +534,10 @@ def run_profile(
     exact full profile needs a pass over the corpus — this one costs a
     single projected scan). For corpora updated IN PLACE (new files added,
     few rewritten), the per-partition fingerprints make the refresh cost
-    ∝ changed partitions: unchanged sidecars are reused by resume."""
-    import ray.data as rd
-
+    ∝ changed partitions: unchanged sidecars are reused by resume. The
+    pending partitions go through stage 1's one streaming pass
+    (``_stream_partitions``), projected to the planned columns, and each is
+    committed as soon as its rows are in."""
     files = sorted(_glob.glob(os.path.join(input_path, "*.parquet")))
     if not files:
         raise FileNotFoundError(f"no parquet files under {input_path}")
@@ -412,36 +553,38 @@ def run_profile(
             os.remove(stale)
         except OSError:
             pass
-    for part_id, part_files in _partitions(files, files_per_partition):
-        fp = fingerprint_files(part_files)
+    parts = _partitions(files, files_per_partition)
+    pending, fps, files_of = [], {}, dict(parts)
+    for part_id, part_files in parts:
+        fps[part_id] = fp = fingerprint_files(part_files)
         done = manifest.completed(part_id, fp, spec_hash) if resume else None
-        sidecar = os.path.join(parts_dir, f"{part_id}.pkl")
-        if done and os.path.exists(sidecar):
+        if done and os.path.exists(os.path.join(parts_dir, f"{part_id}.pkl")):
             summary["skipped"] += 1
-            summary["partitions"].append(part_id)
-            continue
-        t0 = time.time()
-        # projection to the planned columns happens inside sketch_dataset;
-        # map-only partials folded on the driver, nothing shuffles. Read as
-        # stage 1 does: one block per row group, so one partial per file
-        src = rd.read_parquet(part_files, override_num_blocks=len(part_files), batch_size=None)
-        part_sketches = sketch_dataset(src, plan)
-        with open(sidecar + ".tmp", "wb") as f:
-            pickle.dump(part_sketches, f)
-        os.replace(sidecar + ".tmp", sidecar)
+        else:
+            pending.append((part_id, part_files))
+    columns = list(plan)
+    rows_in = _footer_rows([f for _, part_files in pending for f in part_files], columns)
+    t_last = time.time()
+    commits = _stream_partitions(
+        pending, rows_in, ProfilePass(pending, plan), lambda: PayloadFold(("col", "kind")), columns
+    )
+    for part_id, fold in commits:
+        sidecar = _write_sidecar(parts_dir, part_id, fold.result())
+        now = time.time()
         manifest.append(
             PartitionRecord(
                 partition_id=part_id,
-                input_files=part_files,
-                fingerprint=fp,
+                input_files=files_of[part_id],
+                fingerprint=fps[part_id],
                 spec_hash=spec_hash,
                 status="done",
                 output_path=sidecar,
-                wall_s=round(time.time() - t0, 3),
+                wall_s=round(now - t_last, 3),
             )
         )
+        t_last = now
         summary["executed"] += 1
-        summary["partitions"].append(part_id)
+    summary["partitions"] = [part_id for part_id, _ in parts]
 
     prof_path = _merge_profile_stage(
         manifest,

@@ -493,15 +493,20 @@ class BucketChecker:
         return out.to_table(self.run_ts)
 
 
-def _project(ds, spec: Spec):
+def key_columns(spec: Spec) -> list[str]:
+    """The input columns the conversation checks read: conv_id and
+    turn_idx, the ts column when the spec orders by it, and role when it
+    has role rules — never `text`."""
     cols = ["conv_id", "turn_idx"]
     if spec.table.order and spec.table.order.ts_monotone:
         cols.append(spec.table.order.ts_column)
     if spec.table.first_role or (spec.table.order and spec.table.order.alternate):
         cols.append("role")
-    projected = ds.select_columns(sorted(set(cols), key=cols.index))
+    return sorted(set(cols), key=cols.index)
 
-    return projected.map_batches(_placeable, batch_format="pyarrow")
+
+def _project(ds, spec: Spec):
+    return ds.select_columns(key_columns(spec)).map_batches(_placeable, batch_format="pyarrow")
 
 
 def detect_skew(ds, chunk: int = CHUNK) -> tuple[int, list]:

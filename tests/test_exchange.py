@@ -449,45 +449,52 @@ READ_PARQUET_SITES = {
     ("sources/readers.py", "read_parquet_per_cpu"),
     ("sources/readers.py", "read_transcripts"),
 }
-#: the per-file reads: stage 1 (one log file, hot-candidate list and sketch
-#: partial per input file) and `run_profile` (one partial per file, so its
-#: profile.json equals run_validation's)
-PER_FILE_READS = {
-    ("pipelines/validate_pipeline.py", "run_validation"),
-    ("pipelines/validate_pipeline.py", "run_profile"),
-}
+#: the stage-1 read of `run_validation` and `run_profile`: one read over
+#: every pending partition's files, one task per session CPU but never more
+#: tasks than files (each file's log file, hot-candidate list and sketch
+#: partial stays its own, so `profile.json` does not move)
+CAPPED_READS = {("pipelines/validate_pipeline.py", "_stream_partitions")}
 
 
-def _one_task_per_file(call: ast.Call) -> bool:
+def _per_cpu_capped_at_files(call: ast.Call) -> bool:
+    """``override_num_blocks=min(len(files), <session CPUs>)`` over the
+    read's own file list: not one task per file, and not a per-CPU split
+    of fewer files than CPUs."""
     n = {k.arg: k.value for k in call.keywords}.get("override_num_blocks")
+    if not (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "min" and len(n.args) == 2):
+        return False
+    files, cpus = n.args
     return (
-        isinstance(n, ast.Call)
-        and getattr(n.func, "id", None) == "len"
+        isinstance(files, ast.Call)
+        and getattr(files.func, "id", None) == "len"
         and bool(call.args)
-        and ast.dump(n.args[0]) == ast.dump(call.args[0])
+        and ast.dump(files.args[0]) == ast.dump(call.args[0])
+        and "session_cpus" in ast.dump(cpus)
+        and "len" not in ast.dump(cpus)
     )
 
 
 def test_log_and_conversation_reads_use_one_task_per_cpu():
     """In `sources/readers.py` and `pipelines/validate_pipeline.py` every
     `read_parquet(` outside the listed sites goes through
-    `read_parquet_per_cpu`; in the two per-file functions the only bare
-    read is `override_num_blocks=len(files)` over its own file list, so the
-    conversation read beside stage 1 cannot slip back to Ray's default."""
+    `read_parquet_per_cpu`; the stage-1 site's only bare read is the one
+    capped per-CPU read over its own file list, so neither stage 1 nor the
+    conversation read beside it can slip back to one task per file or to
+    Ray's default."""
     root = pathlib.Path(events_validator_ray.__file__).parent
-    found, per_file = [], set()
+    found, capped = [], set()
     for rel in ("sources/readers.py", "pipelines/validate_pipeline.py"):
         for top in ast.parse((root / rel).read_text()).body:
             site = (rel, getattr(top, "name", ""))
             for n in ast.walk(top):
                 if not (isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "read_parquet"):
                     continue
-                if site in PER_FILE_READS and _one_task_per_file(n):
-                    per_file.add(site)
+                if site in CAPPED_READS and _per_cpu_capped_at_files(n):
+                    capped.add(site)
                 elif site not in READ_PARQUET_SITES:
                     found.append(f"{rel}:{n.lineno} read_parquet(")
     assert found == []
-    assert per_file == PER_FILE_READS
+    assert capped == CAPPED_READS
 
 
 def test_tdigest_merge_order_is_canonical(ray_session, force_buckets):

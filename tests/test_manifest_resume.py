@@ -216,9 +216,11 @@ def test_kill_and_resume_mid_run(tmp_path):
 
 
 def test_single_read_per_partition(ray_session, tmp_path, monkeypatch):
-    """Judge round-2 item 4: stage 1 must issue exactly ONE read_parquet per
-    partition (counts, hot candidates and sketch partials come from its one
-    map-only pass over the blocks), plus one for the conversation stage."""
+    """Stage 1 issues ONE read_parquet for every pending partition (counts,
+    hot candidates and sketch partials come from its one map-only pass over
+    the blocks), plus one for the conversation stage."""
+    import glob
+
     import ray.data as rd
 
     from events_validator_ray.pipelines.validate_pipeline import run_validation
@@ -237,9 +239,9 @@ def test_single_read_per_partition(ray_session, tmp_path, monkeypatch):
     summary = run_validation(
         tdir, str(tmp_path / "out"), transcript_spec(), files_per_partition=2
     )
-    n_parts = len(summary["partitions"])
-    assert n_parts >= 2
-    assert len(calls) == n_parts + 1  # one per partition + one conversation pass
+    assert len(summary["partitions"]) >= 2
+    assert len(calls) == 2  # one stage-1 read + one conversation pass
+    assert calls[0] == sorted(glob.glob(os.path.join(tdir, "*.parquet")))
 
 
 def test_only_convs_incremental_revalidation(ray_session, out_dir):
@@ -365,3 +367,195 @@ def test_stage1_has_no_barriers(ray_session, tmp_path, monkeypatch):
     last = max(i for i, (kind, pid) in enumerate(events) if kind == "record" and pid.startswith("part_"))
     assert sum(1 for kind, pid in events[: last + 1] if kind == "record") >= 2
     assert [e for e in events[:last] if e[0] == "call"] == []
+
+
+def _disjoint_corpus(path, empty_at=None):
+    """sf0.002's rows with a non-NULL conv_id in three files whose
+    conversations are disjoint (sorted by conv_id, cut between
+    conversations); ``empty_at`` also writes a zero-row file in that place.
+    Returns the non-empty files' conv_id sets."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    src = sorted(glob.glob(os.path.join(ensure_transcripts(0.002, n_files=4), "*.parquet")))
+    tbl = pa.concat_tables([pq.read_table(f) for f in src])
+    tbl = tbl.filter(pc.is_valid(tbl["conv_id"])).sort_by("conv_id")
+    keys = tbl["conv_id"].to_pylist()
+    convs = sorted(set(keys))
+    bounds = [0, keys.index(convs[len(convs) // 3]), keys.index(convs[2 * len(convs) // 3]), len(keys)]
+    pieces = [tbl.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+    if empty_at is not None:
+        pieces.insert(empty_at, tbl.slice(0, 0))
+    os.makedirs(path)
+    for i, piece in enumerate(pieces):
+        pq.write_table(piece, os.path.join(path, f"t_{i}.parquet"))
+    return [set(p["conv_id"].to_pylist()) for p in pieces if p.num_rows]
+
+
+def _records(out_dir):
+    with open(os.path.join(out_dir, "manifest.jsonl")) as f:
+        recs = [json.loads(l) for l in f if l.strip()]
+    return {r["partition_id"]: r for r in recs if r["status"] == "done"}
+
+
+def _part_counts(out_dir):
+    return {
+        p: (r["n_rows"], r["n_violations"], r["n_valid"])
+        for p, r in sorted(_records(out_dir).items())
+        if p.startswith("part_")
+    }
+
+
+def test_zero_row_partition_commits(ray_session, tmp_path):
+    """A partition whose one file holds zero rows gets no summary (Ray
+    drops empty tables) and still commits: its record counts 0 rows, its
+    log dir is empty, and the run's log, other counts and profile.json equal
+    the same run without the empty file."""
+    _disjoint_corpus(str(tmp_path / "in"), empty_at=1)
+    _disjoint_corpus(str(tmp_path / "ref_in"))
+    spec = transcript_spec()
+    out, ref = str(tmp_path / "out"), str(tmp_path / "ref")
+    s = run_validation(str(tmp_path / "in"), out, spec, files_per_partition=1)
+    run_validation(str(tmp_path / "ref_in"), ref, spec, files_per_partition=1)
+    assert s["partitions"] == [f"part_{i:05d}" for i in range(4)]
+    counts = _part_counts(out)
+    assert counts.pop("part_00001") == (0, 0, 0)
+    assert _records(out)["part_00001"]["extra"]["hot_convs"] == []
+    assert os.listdir(os.path.join(out, "violations", "part_00001")) == []
+    assert list(counts.values()) == list(_part_counts(ref).values())
+    assert _violation_set(out) == _violation_set(ref)
+    with open(os.path.join(out, "profile.json")) as a, open(os.path.join(ref, "profile.json")) as b:
+        assert a.read() == b.read()
+
+
+def test_only_convs_that_empty_whole_blocks_commit_every_partition(ray_session, tmp_path):
+    """An ``only_convs`` set drawn from one file empties every block of the
+    other two after the filter. Rows are counted before the filter, so each
+    partition still commits: the first with the full run's counts for it,
+    the others with zero counts, and the log holds exactly the full run's
+    rows of those conversations."""
+    convs = _disjoint_corpus(str(tmp_path / "in"))
+    subset = set(sorted(convs[0])[:5])
+    spec = transcript_spec()
+    full, out = str(tmp_path / "full"), str(tmp_path / "out")
+    run_validation(str(tmp_path / "in"), full, spec, files_per_partition=1)
+    s = run_validation(str(tmp_path / "in"), out, spec, files_per_partition=1, only_convs=subset)
+    assert s["partitions"] == ["part_00000", "part_00001", "part_00002"]
+    assert s["executed"] == 5  # three partitions, conversation, profile
+    counts = _part_counts(out)
+    assert counts["part_00001"] == counts["part_00002"] == (0, 0, 0)
+    got = _violation_set(out)
+    assert got and got == [v for v in _violation_set(full) if v[0].split(":")[0] in subset]
+    n_rows, n_err, _ = counts["part_00000"]
+    assert n_err + _records(out)["conversation"]["n_violations"] == len(got)
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    conv_col = pq.read_table(os.path.join(tmp_path, "in", "t_0.parquet"))["conv_id"]
+    assert n_rows == pc.sum(pc.is_in(conv_col, value_set=pa.array(sorted(subset)))).as_py()
+
+
+def test_stream_short_of_footer_rows_raises(ray_session, tmp_path, monkeypatch):
+    """If the stage-1 stream ends before a partition's rows reach its
+    parquet footers' count, run_validation raises and never commits that
+    partition: no record, no final log dir, no tmp dir left behind."""
+    from events_validator_ray.pipelines import validate_pipeline as vp
+
+    tdir = ensure_transcripts(0.002, n_files=4)
+    real = vp._footer_rows
+
+    def one_row_more(files, columns=None):
+        rows = real(files, columns)
+        rows[files[0]] += 1
+        return rows
+
+    monkeypatch.setattr(vp, "_footer_rows", one_row_more)
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match=r"part_00000 \(6006 of 6007 rows\)"):
+        run_validation(tdir, out, transcript_spec(), files_per_partition=2)
+    assert "part_00000" not in _records(out)
+    assert sorted(os.listdir(os.path.join(out, "violations"))) == ["part_00001"]
+
+
+def test_corpus_with_a_path_column_is_refused(ray_session, tmp_path, monkeypatch):
+    """Stage 1 reads each row's source file into Ray's ``path`` column, so
+    a corpus with a ``path`` column of its own is refused with a
+    ValueError before any read is planned or any output written.
+    ``run_profile`` reads only the planned columns, so it profiles the
+    same corpus."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from events_validator_ray.pipelines.validate_pipeline import run_profile
+
+    _disjoint_corpus(str(tmp_path / "src"))
+    os.makedirs(tmp_path / "in")
+    for name in sorted(os.listdir(tmp_path / "src")):
+        t = pq.read_table(tmp_path / "src" / name)
+        pq.write_table(t.append_column("path", pa.array(["x"] * t.num_rows)), tmp_path / "in" / name)
+    reads = []
+    real = rd.read_parquet
+    monkeypatch.setattr(rd, "read_parquet", lambda *a, **k: reads.append(a) or real(*a, **k))
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="column named 'path'"):
+        run_validation(str(tmp_path / "in"), out, transcript_spec(), files_per_partition=1)
+    assert reads == []
+    assert not os.path.exists(os.path.join(out, "manifest.jsonl"))
+    assert not os.path.exists(os.path.join(out, "violations"))
+    run_profile(str(tmp_path / "in"), str(tmp_path / "prof"))
+    run_profile(str(tmp_path / "src"), str(tmp_path / "ref"))
+    with open(tmp_path / "prof" / "profile.json") as a, open(tmp_path / "ref" / "profile.json") as b:
+        assert a.read() == b.read()
+
+
+def test_partitions_commit_as_their_rows_arrive(ray_session, tmp_path, monkeypatch):
+    """In the 4-CPU session, two partitions of two files each stream
+    through one stage-1 read, one summary per file: a partition record is
+    appended before the stream's last summary (the first partition to
+    complete does so before the other), and none before every row of its
+    own files is summarized."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from events_validator_ray.state.manifest import Manifest
+
+    events = []
+    real_iter = rd.Dataset.iter_batches
+
+    def iter_batches(self, *a, **k):
+        for batch in real_iter(self, *a, **k):
+            if isinstance(batch, pa.Table) and "n_in" in batch.column_names:
+                for part in pc.unique(batch["part"]).to_pylist():
+                    mine = batch.filter(pc.equal(batch["part"], part))
+                    events.append(("summary", part, pc.sum(mine["n_in"]).as_py() or 0))
+            yield batch
+
+    real_append = Manifest.append
+
+    def append(self, rec):
+        events.append(("record", rec.partition_id, None))
+        return real_append(self, rec)
+
+    monkeypatch.setattr(rd.Dataset, "iter_batches", iter_batches)
+    monkeypatch.setattr(Manifest, "append", append)
+    tdir = ensure_transcripts(0.002, n_files=4)
+    files = sorted(glob.glob(os.path.join(tdir, "*.parquet")))
+    run_validation(tdir, str(tmp_path / "out"), transcript_spec(), files_per_partition=2)
+    summaries = [i for i, e in enumerate(events) if e[0] == "summary"]
+    records = [i for i, e in enumerate(events) if e[0] == "record" and e[1].startswith("part_")]
+    assert len(records) == 2 and len(summaries) == 4
+    assert records[0] < summaries[-1]
+    for i in records:
+        part = events[i][1]
+        k = int(part.removeprefix("part_"))
+        rows = sum(pq.read_metadata(f).num_rows for f in files[2 * k : 2 * k + 2])
+        assert sum(n for kind, p, n in events[:i] if kind == "summary" and p == part) == rows
