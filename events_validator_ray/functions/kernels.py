@@ -115,8 +115,10 @@ def null_mask_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 
 def trim_empty_mask_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """value.trim() === '' (non-null rows only)."""
-    return bool_np(pc.equal(pc.utf8_trim_whitespace(col), ""))
+    """value.trim() === '' (non-null rows only): empty, or only whitespace.
+    Tests each string in place instead of building a trimmed copy of every
+    one (``text`` included) to find the rare blank ones."""
+    return bool_np(pc.or_(pc.utf8_is_space(col), pc.equal(pc.binary_length(col), 0)))
 
 
 def falsy_mask_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:

@@ -23,8 +23,9 @@ Stage layout (all Ray-Data-native; raw Ray tasks are never needed):
    ts, role — never `text`), projected in the read, with the hot set stage
    1 proposed, so its input executes once; its input is read as one block
    per session CPU (``sources/readers.py:read_parquet_per_cpu``), as the
-   read-back of the log is; written once, its own manifest record (resume
-   skips it wholesale).
+   read-back of the log is; written in one Ray execution, with its row
+   count taken from the written files' footers; its own manifest record
+   (resume skips it wholesale).
 3. profile stage — mergeable sketches (stats/HLL/t-digest/cat-hist), partials
    merged to a JSON profile in the manifest directory; drift scored against a
    stored reference profile when provided.
@@ -57,7 +58,7 @@ from ..stages import conversation
 from ..stages.exchange import session_cpus
 from ..stages.fold import PayloadFold
 from ..stages.sketches import SketchPartials, drift_report, frequent_values, profile_table
-from ..stages.validate import DEFAULT_RUN_TS, ValidateBatch
+from ..stages.validate import DEFAULT_RUN_TS, LOG_PARQUET, ValidateBatch
 from ..state.manifest import (
     Manifest,
     PartitionRecord,
@@ -130,7 +131,7 @@ class ScalarPass(FilePass):
         name = None
         if log.num_rows:
             name = f"{uuid.uuid4().hex}.parquet"
-            pq.write_table(log, os.path.join(self.tmp_dirs[part_id], name))
+            pq.write_table(log, os.path.join(self.tmp_dirs[part_id], name), **LOG_PARQUET)
         n_err = pc.sum(pc.equal(log["status"], "error")).as_py() or 0
         hot = frequent_values(block["conv_id"], self.chunk)
         counts = pa.table({"file": pa.array([name], pa.string()), "n_rows": [block.num_rows],
@@ -229,6 +230,14 @@ def _stream_partitions(parts: list[tuple[str, list[str]]], rows_in: dict[str, in
     if folds:
         short = ", ".join(f"{p} ({got[p]} of {want[p]} rows)" for p in sorted(folds))
         raise RuntimeError(f"stage 1 ended with partitions whose rows do not match their parquet footers: {short}")
+
+
+def _log_totals(log_dir: str) -> tuple[int, int]:
+    """(rows, bytes) of the parquet files a ``write_parquet`` left in
+    ``log_dir``. The rows come from their footers, so a log write needs no
+    count of its own."""
+    paths = _glob.glob(os.path.join(log_dir, "*.parquet"))
+    return sum(pq.read_metadata(f).num_rows for f in paths), sum(os.path.getsize(f) for f in paths)
 
 
 def _write_sidecar(parts_dir: str, part_id: str, sketches: dict) -> str:
@@ -369,6 +378,7 @@ def run_validation(
             for f in os.listdir(tmp):
                 if f not in fold.files:
                     os.remove(os.path.join(tmp, f))
+            log_bytes = sum(os.path.getsize(os.path.join(tmp, f)) for f in fold.files)
             cm.__exit__(None, None, None)
             sidecar = _write_sidecar(parts_dir, part_id, fold.sketches.result())
             now = time.time()
@@ -384,7 +394,7 @@ def run_validation(
                     n_valid=fold.n_valid,
                     output_path=os.path.join(out_dir, "violations", part_id),
                     wall_s=round(now - t_last, 3),
-                    extra={"profile_part": sidecar, "hot_convs": sorted(fold.hot)},
+                    extra={"profile_part": sidecar, "hot_convs": sorted(fold.hot), "log_bytes": log_bytes},
                 )
             )
             t_last = now
@@ -416,15 +426,14 @@ def run_validation(
             # revalidate them — dropping them would silently skip their
             # violations (ScalarPass keeps them too)
             ds = arrow_semi_filter(ds, conv_list, on="conv_id", keep_nulls=True)
-        # small (violations only); count without re-reading
         conv = conversation.conversation_violations(
             ds, spec, run_ts, chunk=conversation.CHUNK, skew=(total_rows, sorted(hot))
-        ).materialize()
+        )
         with atomic_output_dir(final_dir) as tmp:
             # the bucketed exchange leaves one small block per task; bundle
             # them so the log is not a file per bucket
-            conv.write_parquet(tmp, min_rows_per_file=1_000_000)
-        n_err = conv.count()
+            conv.write_parquet(tmp, min_rows_per_file=1_000_000, **LOG_PARQUET)
+            n_err, log_bytes = _log_totals(tmp)
         manifest.append(
             PartitionRecord(
                 partition_id="conversation",
@@ -435,6 +444,7 @@ def run_validation(
                 n_violations=n_err,
                 output_path=final_dir,
                 wall_s=round(time.time() - t0, 3),
+                extra={"log_bytes": log_bytes},
             )
         )
         summary["executed"] += 1
@@ -648,8 +658,8 @@ def merge_violations(
 
     Scale shape: base rows stream through one broadcast anti-filter on the
     event_id conv prefix (the stale set is diff-sized — conversations, not
-    turns); the count comes from the in-flight materialized blocks, never a
-    re-read of the sink (object-store resident, spills if huge)."""
+    turns), written in one Ray execution; the count comes from the written
+    files' parquet footers, never a count pass or a re-read of the sink."""
     from ..stages.joins import arrow_semi_filter
     from ..state.manifest import atomic_output_dir
 
@@ -677,8 +687,7 @@ def merge_violations(
     )
     if new_dir is not None:
         merged = merged.union(read_violations(new_dir))
-    merged = merged.materialize()
-    n = merged.count()
     with atomic_output_dir(out_path) as tmp:
-        merged.write_parquet(tmp)
+        merged.write_parquet(tmp, **LOG_PARQUET)
+        n, _ = _log_totals(tmp)
     return n

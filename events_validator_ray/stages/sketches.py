@@ -370,6 +370,20 @@ def _new_sketch(kind: str, col: str):
     raise ValueError(kind)
 
 
+def _hash64_strings(col: pa.ChunkedArray) -> np.ndarray:
+    """``hash64`` of a null-free string column: each chunk's distinct values
+    (Arrow's ``dictionary_encode``) hashed once, gathered by index. These
+    are the uint64s of ``hash64(col.to_numpy())``, whose ``hash_array`` also
+    hashes the factorized distinct values, without a Python object per row
+    or pandas' object factorize (the dictionary needs no second one)."""
+    out = [np.empty(0, np.uint64)]
+    for chunk in col.chunks:
+        enc = pc.dictionary_encode(chunk)
+        values = enc.dictionary.to_numpy(zero_copy_only=False)
+        out.append(pd.util.hash_array(values, categorize=False)[enc.indices.to_numpy()])
+    return np.concatenate(out)
+
+
 def _add(sketch, kind: str, col: pa.ChunkedArray) -> None:
     if kind == "stats" or kind == "cathist" or kind.startswith("numhist"):
         sketch.add_column(col)
@@ -377,7 +391,9 @@ def _add(sketch, kind: str, col: pa.ChunkedArray) -> None:
         valid = col.drop_null()
         if len(valid) == 0:
             return
-        if kind == "hll":
+        if kind == "hll" and (pa.types.is_string(valid.type) or pa.types.is_large_string(valid.type)):
+            sketch.add_hashes(_hash64_strings(valid))
+        elif kind == "hll":
             sketch.add_values(valid.to_numpy(zero_copy_only=False))
         elif kind == "tdigest":
             sketch.add_values(valid.to_numpy(zero_copy_only=False).astype(np.float64))

@@ -1,5 +1,7 @@
 """Sketch correctness: mergeability + accuracy vs exact computations."""
 
+import pickle
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -258,3 +260,39 @@ def test_daily_error_rate_approx_matches_exact_sf01(ray_session):
     # rate column stays consistent with its own numerator/denominator
     recomputed = (100.0 * approx["n_error_events"] / approx["n_events"]).round(6)
     assert (approx["error_rate"] == recomputed).all()
+
+
+def _random_strings(seed: int) -> pa.ChunkedArray:
+    """Multi-chunk strings with NULLs, '' and non-ASCII values, repeated."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(["", "a", "é", "日本語", "x y", " ", "🙂", None] + [f"c{i}" for i in range(500)], dtype=object)
+    vals = pool[rng.integers(0, len(pool), 6_000)].tolist()
+    cuts = sorted(rng.integers(0, len(vals), 3).tolist())
+    return pa.chunked_array([pa.array(vals[a:b], pa.string()) for a, b in zip([0] + cuts, cuts + [len(vals)])])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hll_of_a_string_column_hashes_its_dictionary(seed):
+    """The HLL partial of a string column hashes each chunk's distinct
+    values and gathers them: the same uint64s and registers as `hash64`
+    over every row, and the same profile row."""
+    import json
+
+    from events_validator_ray.stages.sketches import SketchPartials, _hash64_strings
+
+    col = _random_strings(seed)
+    valid = col.drop_null()
+    rows = hash64(valid.to_numpy(zero_copy_only=False))
+    assert np.array_equal(_hash64_strings(valid), rows)
+    assert np.array_equal(_hash64_strings(pa.chunked_array([], pa.string())), np.empty(0, np.uint64))
+
+    want = HLL()
+    want.add_hashes(rows)
+    part = SketchPartials({"s": ("stats", "hll")})(pa.table({"s": col}))
+    got = {(c, k): pickle.loads(p) for c, k, p in zip(*(part[n].to_pylist() for n in ("col", "kind", "payload")))}
+    assert np.array_equal(got[("s", "hll")].registers, want.registers)
+    stats = ColumnStats("s")
+    stats.add_column(col)
+    want_profile = profile_table({("s", "stats"): stats, ("s", "hll"): want})
+    got_profile = profile_table(got)
+    assert json.dumps(got_profile.to_dict(orient="records")) == json.dumps(want_profile.to_dict(orient="records"))

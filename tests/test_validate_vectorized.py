@@ -270,3 +270,35 @@ def test_nested_rule_on_map_items_property_walk():
             ("c:0", "items[1].k", "missing", "field present", "field missing"),
         ]
     )
+
+
+def _trimmed_empty(col) -> np.ndarray:
+    """The blank test as a trimmed copy: `utf8_trim_whitespace(v) == ''`."""
+    import pyarrow.compute as pc
+
+    return pc.fill_null(pc.equal(pc.utf8_trim_whitespace(col), ""), False).to_numpy(zero_copy_only=False)
+
+
+def test_trim_empty_mask_agrees_with_trimming_on_every_code_point():
+    """`trim_empty_mask_np` tests blankness in place (`utf8_is_space` or
+    empty). Over every Unicode scalar value, alone and between spaces, it
+    marks exactly the strings that trim to ''."""
+    from events_validator_ray.functions.kernels import trim_empty_mask_np
+
+    chars = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    for values in (chars, [f" {c}\t" for c in chars]):
+        col = pa.chunked_array([pa.array(values[:40_000]), pa.array(values[40_000:])])
+        got = trim_empty_mask_np(col)
+        assert np.array_equal(got, _trimmed_empty(col))
+    assert trim_empty_mask_np(pa.array(chars)).sum() == 29  # the whitespace code points
+
+
+def test_trim_empty_mask_edge_strings():
+    from events_validator_ray.functions.kernels import trim_empty_mask_np
+
+    values = ["", None, " ", " \t\n\u3000\u00a0", "a b", " a ", "\u200b", "x"]
+    for typ in (pa.string(), pa.large_string()):
+        col = pa.array(values, typ)
+        got = trim_empty_mask_np(col)
+        assert got.tolist() == [True, False, True, True, False, False, False, False]
+        assert np.array_equal(got, _trimmed_empty(col))
