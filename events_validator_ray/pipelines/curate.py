@@ -48,9 +48,9 @@ def curate_documents(
     """Run the curation pipeline; returns a summary dict with per-stage
     counts. Idempotent: a completed run with matching input fingerprint is
     skipped wholesale."""
-    import ray
     import ray.data as rd
 
+    from ..stages import broadcast
     from ..stages.dedup import minhash_lsh_dedup
     from ..stages.text import QualityScore
 
@@ -144,13 +144,10 @@ def curate_documents(
             if d != c
         )
         n_near_dropped = len(drop)
-        drop_ref = ray.put(drop)
+        drop_b = broadcast.put(drop)
 
         def drop_near(df):
-            keys = drop_ref
-            if isinstance(keys, ray.ObjectRef):
-                keys = ray.get(keys)
-            return df[~df[id_col].isin(keys)]
+            return df[~df[id_col].isin(drop_b.get())]
 
         cleaned = survivors.map_batches(drop_near, batch_format="pandas")
     else:

@@ -1271,16 +1271,8 @@ def q_contamination_scan(sf_dir: str):
         return t.filter(pa.array(ids % CONTAMINATION_MOD == 0))
 
     bench_ds = docs.map_batches(bench_filter, batch_format="pyarrow")
-    ref = build_benchmark_grams(bench_ds, k=CONTAMINATION_K)
-    return docs.map_batches(
-        ContaminationScan,
-        fn_constructor_kwargs={"bench_ref": ref, "k": CONTAMINATION_K},
-        batch_format="pyarrow",
-        # autoscaling pool: a fixed concurrency equal to the cluster CPU
-        # count reserves every CPU for the actors and starves the upstream
-        # read tasks (observed deadlock on a 4-CPU test cluster)
-        concurrency=(1, 4),
-    )
+    grams = build_benchmark_grams(bench_ds, k=CONTAMINATION_K)
+    return docs.map_batches(ContaminationScan(grams, k=CONTAMINATION_K), batch_format="pyarrow")
 
 
 def contamination_oracle() -> str:
@@ -1859,7 +1851,7 @@ def tumbling_oracle() -> str:
 def q_broadcast_join(sf_dir: str):
     """Broadcast small-side join (the J1 pattern generalized): orders
     enriched with customer nation, aggregated per nation — customer+nation
-    ship once via ray.put; zero shuffle on the fact side."""
+    ship once via `broadcast.put`; zero shuffle on the fact side."""
     import os
 
     import pyarrow.parquet as pq
@@ -2634,7 +2626,7 @@ def q_valid_fields(sf_dir: str):
 
 def q_multimodal_decode(sf_dir: str):
     """Multimodal decode: deterministic corpus of REAL PNG payloads through
-    the actor-pool image decode stage with allow_fake=False — every row is a
+    the image decode stage with allow_fake=False — every row is a
     genuine stdlib PNG decode (struct+zlib), no stub involved. Value-checked:
     the oracle reads the generation-time ground-truth parquet (dims + raw
     RGB pixel-sum checksum recorded BEFORE encoding), so a decode that
@@ -2645,7 +2637,7 @@ def q_multimodal_decode(sf_dir: str):
 
     media_path = ensure_media_real(96)[0]
     media = rd.read_parquet(media_path)
-    return decode_images(media, feature_dim=16, concurrency=2, allow_fake=False).select_columns(
+    return decode_images(media, feature_dim=16, allow_fake=False).select_columns(
         ["media_id", "width", "height", "pix_sum"]
     )
 
@@ -2662,7 +2654,7 @@ def q_multimodal_audio(sf_dir: str):
 
     media_path = ensure_media_real(96)[0]
     media = rd.read_parquet(media_path)
-    return extract_audio(media, feature_dim=8, concurrency=2, allow_fake=False).select_columns(
+    return extract_audio(media, feature_dim=8, allow_fake=False).select_columns(
         ["media_id", "sample_rate", "n_samples", "samp_sum"]
     )
 
@@ -2685,24 +2677,15 @@ def q_multimodal_resize(sf_dir: str):
     rw, rh = RESIZE_TRUTH_DIMS
     media_path = ensure_media_real(96)[0]
     media = rd.read_parquet(media_path)
-    # one actor per pool: TWO chained pools at concurrency=2 would reserve
-    # 4 CPUs and starve the read tasks in a 4-CPU session (pool sizing must
-    # leave CPUs for the non-actor stages — the actor-pool sizing rule)
     resized = media.filter(expr="kind == 'image'").map_batches(
-        ResizeImage,
-        fn_constructor_kwargs={"width": rw, "height": rh, "allow_fake": False},
+        ResizeImage(width=rw, height=rh, allow_fake=False),
         batch_format="pyarrow",
         batch_size=32,
-        concurrency=1,
-        num_cpus=1,
     )
     return resized.map_batches(
-        DecodeImage,
-        fn_constructor_kwargs={"feature_dim": 8, "allow_fake": False},
+        DecodeImage(feature_dim=8, allow_fake=False),
         batch_format="pyarrow",
         batch_size=32,
-        concurrency=1,
-        num_cpus=1,
     ).select_columns(["media_id", "width", "height", "pix_sum"])
 
 
@@ -2718,7 +2701,7 @@ def q_multimodal_frames(sf_dir: str):
 
     media_path = ensure_media_real(96)[0]
     media = rd.read_parquet(media_path)
-    return sample_frames(media, n_frames=4, concurrency=2, allow_fake=False).select_columns(
+    return sample_frames(media, n_frames=4, allow_fake=False).select_columns(
         ["media_id", "frame_idx", "src_frame", "width", "height", "luma_sum"]
     )
 

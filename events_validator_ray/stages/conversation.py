@@ -66,6 +66,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..spec import Spec
+from . import broadcast
 from .exchange import exchange
 from .validate import DEFAULT_RUN_TS, VIOLATION_SCHEMA
 
@@ -566,7 +567,6 @@ def conversation_violations(
     is non-empty: it merges the hot conversations' packed summaries keyed by
     conversation, then drops phase 1's ts rows of suspect chunks and
     unions phase 2's corrected rows."""
-    import ray
     import ray.data as rd
 
     n_rows, hot = skew if skew is not None else detect_skew(ds, chunk)
@@ -591,19 +591,16 @@ def conversation_violations(
         # (in err2): drop phase 1's, whose `expected` is only the WITHIN-chunk
         # prefix max. Keys travel via the object store, never a literal
         # expression
-        suspect_ref = ray.put(frozenset(sus["event_id"].to_pylist()))
+        suspects = broadcast.put(frozenset(sus["event_id"].to_pylist()))
         ts_name = spec.table.order.ts_column if spec.table.order else "ts"
 
         def drop_suspect_ts(df: "pd.DataFrame") -> pa.Table:
-            keys = suspect_ref
-            if isinstance(keys, ray.ObjectRef):
-                keys = ray.get(keys)
             is_ts = (df["field"] == ts_name) & (df["error_type"] == "order")
             if is_ts.any():
                 split = df.loc[is_ts, "event_id"].str.rsplit(":", n=1)
                 ch = (split.str[1].astype("int64") // chunk).clip(lower=0).astype(str)
                 drop = is_ts.copy()
-                drop.loc[is_ts] = (split.str[0] + ":" + ch).isin(keys)
+                drop.loc[is_ts] = (split.str[0] + ":" + ch).isin(suspects.get())
                 df = df[~drop]
             # ARROW in the canonical schema so the union below mixes no
             # pandas-vs-arrow block representations

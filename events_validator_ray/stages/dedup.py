@@ -34,6 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import broadcast
 from .exchange import exchange
 from .sketches import hash64
 
@@ -406,7 +407,7 @@ def distributed_components(pairs_ds, max_rounds: int = 10, broadcast_max_labels:
     label count:
 
     - <= `broadcast_max_labels`: the label table is pulled once and broadcast
-      via ``ray.put`` (one object-store copy, map-side lookup — cheapest while
+      via ``broadcast.put`` (one object-store copy, map-side lookup — cheapest while
       the table fits comfortably in a worker heap);
     - above it: ``joins.bucketed_hash_join(edges, labels, on='dst')`` — the
       label table never leaves the cluster, so dup-heavy corpora (billions of
@@ -489,14 +490,11 @@ def distributed_components(pairs_ds, max_rounds: int = 10, broadcast_max_labels:
     changed = -1
     for _ in range(max_rounds):
         if use_broadcast:
-            import ray
-
-            ref = ray.put(lbl_df.set_index("src")["label"])
+            lab = broadcast.put(lbl_df.set_index("src")["label"])
 
             def attach(b: pd.DataFrame) -> pd.DataFrame:
-                lab = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
                 return pd.DataFrame(
-                    {"src": b["src"], "cand": b["dst"].map(lab).fillna(b["dst"])}
+                    {"src": b["src"], "cand": b["dst"].map(lab.get()).fillna(b["dst"])}
                 )
 
             prop = edges.map_batches(attach, batch_format="pandas")
@@ -632,17 +630,12 @@ def _shingle_rows(docs_ds, col: str, id_col: str, ngram: int):
 
 def _shingle_set_dataset(ds, cand_ids, col: str, id_col: str, ngram: int):
     """(id, shingle-hash list) rows for the candidate docs only — computed
-    distributed; the candidate-id SET is broadcast via ray.put (bounded by the
-    number of docs in candidate pairs, never the corpus)."""
-    import ray
-
-    id_ref = ray.put(pa.array(list(cand_ids)))
+    distributed; the candidate-id SET is broadcast via `broadcast.put`
+    (bounded by the number of docs in candidate pairs, never the corpus)."""
+    ids = broadcast.put(pa.array(list(cand_ids)))
 
     def shingle_sets(batch: pa.Table) -> pa.Table:
-        idarr = id_ref
-        if isinstance(idarr, ray.ObjectRef):
-            idarr = ray.get(idarr)
-        mask = pc.fill_null(pc.is_in(batch[id_col], value_set=idarr), False)
+        mask = pc.fill_null(pc.is_in(batch[id_col], value_set=ids.get()), False)
         sel = batch.filter(mask)
         if sel.num_rows == 0:
             return pa.table(
@@ -725,18 +718,13 @@ def jaccard_verify_distributed(
 def _full_labeling(ds, labels: dict, id_col: str):
     """Full (doc -> cluster) labeling as a streaming map over the corpus: the
     near-dup label map (bounded by docs in candidate pairs) is broadcast via
-    ray.put; unlabeled docs keep their own id. Replaces the old
+    `broadcast.put`; unlabeled docs keep their own id. Replaces the old
     `ds.unique(id_col)` driver materialization of EVERY corpus id."""
-    import ray
-
-    ref = ray.put(labels)
+    label_map = broadcast.put(labels)
 
     def lab(df: pd.DataFrame) -> pd.DataFrame:
-        m = ref
-        if isinstance(m, ray.ObjectRef):
-            m = ray.get(m)
         ids = df[id_col]
-        mapped = ids.map(m)
+        mapped = ids.map(label_map.get())
         out = mapped.where(mapped.notna(), ids)
         return pd.DataFrame({id_col: ids, "cluster": out.astype(ids.dtype)})
 
@@ -1032,8 +1020,6 @@ def jaccard_allpairs_join(
     whose candidate generation is capped. Tokenization is the SQL-pinned
     kernel (functions/textkernels.tokenize ≙ regexp_extract_all lower).
     Returns columns a, b, inter_sh, union_sh (all int64)."""
-    import ray
-
     from ..functions.textkernels import tokenize
 
     empty_sh = pa.table(
@@ -1111,12 +1097,10 @@ def jaccard_allpairs_join(
     sizes = bucketed_count_per_key(shingles, "did", "n_sh")
     if sizes.count() <= broadcast_max_docs:
         size_map = {r["did"]: r["n_sh"] for r in sizes.take_all()}
-        ref = ray.put(size_map)
+        sizes_b = broadcast.put(size_map)
 
         def attach(df: "pd.DataFrame") -> "pd.DataFrame":
-            sm = ref
-            if isinstance(sm, ray.ObjectRef):
-                sm = ray.get(sm)
+            sm = sizes_b.get()
             na = df["a"].map(sm).astype(np.int64)
             nb = df["b"].map(sm).astype(np.int64)
             if mode == "containment":

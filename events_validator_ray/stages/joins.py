@@ -13,6 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import broadcast
 from .exchange import canon_key_str, exchange
 
 
@@ -60,11 +61,11 @@ def _nullable_ints(df: pd.DataFrame, skip: tuple[str, ...]) -> pd.DataFrame:
 
 class BroadcastJoin:
     """map_batches stage: enrich each batch by a small dimension table shipped
-    once via ``ray.put`` (fetched per worker on first use, cached in the
-    callable — the "broadcast small side" pattern)."""
+    once via ``broadcast.put`` (fetched once per task, indexed on first use —
+    the "broadcast small side" pattern)."""
 
     def __init__(self, dim_ref, on: str, dim_on: str, take_cols: list[str]):
-        self.dim_ref = dim_ref  # ray.ObjectRef to a pandas DataFrame (or the df)
+        self.dim_ref = dim_ref  # broadcast handle of a pandas DataFrame
         self.on = on
         self.dim_on = dim_on
         self.take_cols = take_cols
@@ -72,15 +73,7 @@ class BroadcastJoin:
 
     def _dim_df(self) -> pd.DataFrame:
         if self._dim is None:
-            obj = self.dim_ref
-            try:
-                import ray
-
-                if isinstance(obj, ray.ObjectRef):
-                    obj = ray.get(obj)
-            except Exception:
-                pass
-            self._dim = obj.set_index(self.dim_on)[self.take_cols]
+            self._dim = self.dim_ref.get().set_index(self.dim_on)[self.take_cols]
         return self._dim
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
@@ -92,32 +85,18 @@ class BroadcastJoin:
 def broadcast_join(ds, dim_df: pd.DataFrame, on: str, dim_on: str, take_cols: list[str]):
     """Left-join `ds` against an in-memory dimension DataFrame, broadcast via
     the object store (one copy cluster-wide, zero shuffle)."""
-    import ray
-
-    ref = ray.put(dim_df)
     return ds.map_batches(
-        BroadcastJoin(ref, on, dim_on, take_cols), batch_format="pandas"
+        BroadcastJoin(broadcast.put(dim_df), on, dim_on, take_cols), batch_format="pandas"
     )
 
 
 def semi_join_filter(ds, keys, on: str, anti: bool = False):
     """Semi/anti join: broadcast the key SET and filter inside map_batches
     (the Bloom-filter slot at extreme key cardinalities)."""
-    import ray
-
-    key_ref = ray.put(frozenset(keys))
-    holder = {}
+    key_set = broadcast.put(frozenset(keys))
 
     def flt(batch: pd.DataFrame) -> pd.DataFrame:
-        if "keys" not in holder:
-            obj = key_ref
-            try:
-                if isinstance(obj, ray.ObjectRef):
-                    obj = ray.get(obj)
-            except Exception:
-                pass
-            holder["keys"] = obj
-        mask = batch[on].isin(holder["keys"])
+        mask = batch[on].isin(key_set.get())
         return batch[~mask] if anti else batch[mask]
 
     return ds.map_batches(flt, batch_format="pandas")
@@ -132,9 +111,9 @@ def arrow_semi_filter(
     key_of=None,
 ):
     """`semi_join_filter`'s zero-copy Arrow sibling: broadcast the string key
-    set once (ray.put), membership-filter map-side with `pc.is_in` — the slot
-    for hot paths that must not pay an Arrow→pandas conversion (the
-    incremental-revalidation `only_convs` filter and the merged-log
+    set once (``broadcast.put``), membership-filter map-side with `pc.is_in`
+    — the slot for hot paths that must not pay an Arrow→pandas conversion
+    (the incremental-revalidation `only_convs` filter and the merged-log
     anti-filter).
 
     - ``anti=True`` inverts membership (SQL NOT EXISTS).
@@ -146,32 +125,18 @@ def arrow_semi_filter(
       conv_id) must be conservatively REVALIDATED, never silently dropped —
       the snapshot diff cannot see it.
 
-    ``keys`` may be an already-``ray.put`` ObjectRef of a ``pa.StringArray``
+    ``keys`` may be a ``broadcast.Broadcast`` handle of a ``pa.StringArray``
     (callers filtering MANY datasets against one set broadcast it once)."""
-    import pyarrow as pa
-    import ray
-
     if on is None and key_of is None:
         raise ValueError("arrow_semi_filter needs `on` or `key_of`")
     if keep_nulls is None:
         keep_nulls = anti
-    if isinstance(keys, ray.ObjectRef):
-        key_ref = keys
-    else:
-        key_ref = ray.put(pa.array(sorted(keys), type=pa.string()))
-    holder: dict = {}
+    if not isinstance(keys, broadcast.Broadcast):
+        keys = broadcast.put(pa.array(sorted(keys), type=pa.string()))
 
     def flt(t):
-        import pyarrow.compute as pc
-        import ray as _r
-
-        if "v" not in holder:
-            obj = key_ref
-            if isinstance(obj, _r.ObjectRef):
-                obj = _r.get(obj)
-            holder["v"] = obj
         key = key_of(t) if key_of is not None else t[on]
-        member = pc.fill_null(pc.is_in(key, value_set=holder["v"]), False)
+        member = pc.fill_null(pc.is_in(key, value_set=keys.get()), False)
         mask = pc.invert(member) if anti else member
         if keep_nulls:
             mask = pc.or_(mask, pc.is_null(key))
@@ -381,18 +346,10 @@ def bloom_semi_join(
     This is the scale slot `semi_join_filter` names for extreme key
     cardinalities; use `semi_join_filter` when the key set comfortably fits
     an object-store broadcast."""
-    import ray
-
-    bloom_ref = ray.put(build_bloom(keys_ds, on, n_bits_log2, k))
-    holder: dict = {}
+    bloom = broadcast.put(build_bloom(keys_ds, on, n_bits_log2, k))
 
     def prefilter(df: pd.DataFrame) -> pd.DataFrame:
-        if "b" not in holder:
-            obj = bloom_ref
-            if isinstance(obj, ray.ObjectRef):
-                obj = ray.get(obj)
-            holder["b"] = obj
-        return df[holder["b"].contains(canon_key_str(df[on]))]
+        return df[bloom.get().contains(canon_key_str(df[on]))]
 
     survivors = left.map_batches(prefilter, batch_format="pandas")
     # exact pass: the inner bucketed join of survivors against the DISTINCT
@@ -436,21 +393,13 @@ def bloom_anti_join(
     passes over `left` — re-reading a streaming source twice is deliberately
     preferred to materializing it or to shuffling the miss rows through the
     join."""
-    import ray
-
-    bloom_ref = ray.put(build_bloom(keys_ds, on, n_bits_log2, k))
-    holder: dict = {}
+    bloom = broadcast.put(build_bloom(keys_ds, on, n_bits_log2, k))
 
     def _mask(df: pd.DataFrame) -> pd.Series:
-        if "b" not in holder:
-            obj = bloom_ref
-            if isinstance(obj, ray.ObjectRef):
-                obj = ray.get(obj)
-            holder["b"] = obj
         # NULL keys never match any key -> definite keeps, routed to the
         # miss stream (the hit stream then carries no NULL keys at all)
         return pd.Series(
-            holder["b"].contains(canon_key_str(df[on])) & df[on].notna().to_numpy(),
+            bloom.get().contains(canon_key_str(df[on])) & df[on].notna().to_numpy(),
             index=df.index,
         )
 

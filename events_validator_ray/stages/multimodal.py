@@ -1,7 +1,7 @@
 """Multimodal column plumbing: image/audio/video as opaque ``binary`` columns
-with typed metadata, processed by actor-pool ``map_batches`` stages.
+with typed metadata, processed by stateless ``map_batches`` tasks.
 
-The Ray-side plumbing is real and tested — schema contract, actor signature,
+The Ray-side plumbing is real and tested — schema contract, stage signature,
 batch sizing, output layout. Codec coverage is layered:
 
 - **Real stdlib paths** (no third-party dependency): PNG decode/encode via
@@ -9,7 +9,8 @@ batch sizing, output layout. Codec coverage is layered:
   non-interlaced) and WAV via the stdlib ``wave`` module (8/16/32-bit PCM).
   Payloads that sniff as PNG/WAV always decode for real.
 - **Library paths**: PIL / soundfile when importable (not in this
-  container), imported once per actor in ``__init__``.
+  container), imported once in ``__init__`` (the instance ships to its
+  tasks with the module pickled by name).
 - **Deterministic fake** for formats beyond the above, only when
   ``allow_fake=True``; with ``allow_fake=False`` an unsupported payload
   raises ``ValueError`` naming the format, so a stub result can never be
@@ -17,8 +18,10 @@ batch sizing, output layout. Codec coverage is layered:
 
 Batch-size guidance for binary payloads: keep ``batch_size`` small (rows are
 megabytes, not bytes) and let ``DataContext.target_max_block_size`` bound the
-block memory; a pool of N decode actors with num_cpus=1 each overlaps decode
-with the surrounding read/write stages.
+block memory. The stages hold only their options and a codec module, so
+each runs as plain tasks (one CPU each) that Ray schedules beside the read
+and write tasks: an actor pool would keep its CPUs for the whole stage
+and, in a one-CPU session, starve the read tasks that feed it.
 """
 
 from __future__ import annotations
@@ -297,7 +300,7 @@ def _digest_floats(payload: bytes, n: int) -> np.ndarray:
 
 
 class DecodeImage:
-    """Actor-pool stage: binary payload -> (media_id, width, height,
+    """map_batches stage: binary payload -> (media_id, width, height,
     features[dim]). PNG payloads decode for REAL via the stdlib path
     (png_decode above); other formats use PIL when importable, else — only
     with ``allow_fake=True`` — a deterministic fake derived from the bytes.
@@ -362,7 +365,7 @@ class DecodeImage:
 
 
 class ResizeImage:
-    """Actor-pool stage: payload -> resized payload. PNG payloads resize for
+    """map_batches stage: payload -> resized payload. PNG payloads resize for
     REAL (stdlib decode -> nearest-neighbor resample -> stdlib re-encode);
     other formats use PIL when importable, else the deterministic stub (only
     with ``allow_fake=True``)."""
@@ -411,7 +414,7 @@ class ResizeImage:
 
 
 class SampleFrames:
-    """Actor-pool stage for video: payload -> `n_frames` evenly-spaced frame
+    """map_batches stage for video: payload -> `n_frames` evenly-spaced frame
     rows (exploded: one row per sampled frame). Y4M payloads (YUV4MPEG2 —
     the plain public container) decode for REAL via the stdlib parser above:
     src_frame is the evenly-spaced source index, `frame` is the sampled luma
@@ -481,19 +484,15 @@ class SampleFrames:
 def sample_frames(
     ds,
     n_frames: int = 4,
-    concurrency: int = 2,
     batch_size: int = 32,
     allow_fake: bool = True,
 ):
     """Canonical wiring for the video frame-sample stage (small batches,
-    actor pool, binary-safe Arrow end to end)."""
+    stateless tasks, binary-safe Arrow end to end)."""
     return ds.filter(expr="kind == 'video'").map_batches(
-        SampleFrames,
-        fn_constructor_kwargs={"n_frames": n_frames, "allow_fake": allow_fake},
+        SampleFrames(n_frames=n_frames, allow_fake=allow_fake),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
     )
 
 
@@ -504,7 +503,7 @@ def _samp_sum(data: np.ndarray) -> int:
 
 
 class ExtractAudio:
-    """Actor-pool stage for audio: payload -> (media_id, sample_rate,
+    """map_batches stage for audio: payload -> (media_id, sample_rate,
     n_samples, features[dim]) — loudness-style summary vector. WAV payloads
     decode for REAL via the stdlib ``wave`` module (wav_decode above); other
     formats use soundfile when importable (not in this container), else the
@@ -572,7 +571,6 @@ class ExtractAudio:
 def extract_audio(
     ds,
     feature_dim: int = 32,
-    concurrency: int = 2,
     batch_size: int = 32,
     allow_fake: bool = True,
 ):
@@ -580,12 +578,9 @@ def extract_audio(
     other undecodable payload raise ValueError instead of silently emitting
     the deterministic stub features."""
     return ds.filter(expr="kind == 'audio'").map_batches(
-        ExtractAudio,
-        fn_constructor_kwargs={"feature_dim": feature_dim, "allow_fake": allow_fake},
+        ExtractAudio(feature_dim=feature_dim, allow_fake=allow_fake),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
     )
 
 
@@ -770,19 +765,15 @@ def _synthetic_media_real_build(n: int, seed: int) -> tuple[pa.Table, pa.Table, 
 def decode_images(
     ds,
     feature_dim: int = 64,
-    concurrency: int = 4,
     batch_size: int = 32,
     allow_fake: bool = True,
 ):
-    """The canonical wiring: small batches, actor pool, binary-safe arrow
+    """The canonical wiring: small batches, stateless tasks, binary-safe arrow
     format end to end. PNG payloads decode for real (stdlib);
     `allow_fake=False` makes any other undecodable payload raise ValueError
     instead of emitting stub dims/features."""
     return ds.filter(expr="kind == 'image'").map_batches(
-        DecodeImage,
-        fn_constructor_kwargs={"feature_dim": feature_dim, "allow_fake": allow_fake},
+        DecodeImage(feature_dim=feature_dim, allow_fake=allow_fake),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
     )

@@ -20,6 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import broadcast
+
 
 def mod_sample(ds, id_col: str, modulus: int = 100, keep_below: int = 1):
     """Keep rows where `id_col % modulus < keep_below` (sampling rate
@@ -202,11 +204,10 @@ def global_rank(ds, col: str, out_col: str = "n_le", max_distinct: int = 1_000_0
     corpus size. Within the bound: a BUCKETED value count (per-batch pandas
     partials → key-hash bucket → per-bucket sum, never
     groupby(col).aggregate), a tiny driver cumsum, then a broadcast
-    (ray.put) sorted-values + cumulative-counts pair consumed by a map-only
+    (`broadcast.put`) sorted-values + cumulative-counts pair consumed by a map-only
     searchsorted pass. The corpus itself never shuffles.
     SQL twin: COUNT(*) OVER (ORDER BY col RANGE UNBOUNDED PRECEDING)."""
     import numpy as np
-    import ray
 
     from .assembly import bucketed_count_per_key
 
@@ -231,13 +232,10 @@ def global_rank(ds, col: str, out_col: str = "n_le", max_distinct: int = 1_000_0
     vc = vc[vc[col].notna()].sort_values(col).reset_index(drop=True)
     vals = vc[col].to_numpy()
     cum = np.cumsum(vc["n"].to_numpy()).astype(np.int64)
-    ref = ray.put((vals, cum))
+    vals_cum = broadcast.put((vals, cum))
 
     def attach(t: pa.Table) -> pa.Table:
-        vals_cum = ref
-        if isinstance(vals_cum, ray.ObjectRef):
-            vals_cum = ray.get(vals_cum)
-        sv, sc = vals_cum
+        sv, sc = vals_cum.get()
         t = t.filter(pc.is_valid(t[col]))
         v = t[col].to_numpy(zero_copy_only=False)
         idx = np.searchsorted(sv, v, side="right") - 1
@@ -256,11 +254,10 @@ def ordered_prefix_sum(ds, order_col: str, val_col: str, out_col: str = "cum_pre
     a global order), materialized once so the two passes share it; pass 1
     pulls one (block-min-key, block-sum) row PER BLOCK (driver pull = block
     count, never rows); pass 2 broadcasts the exclusive per-block offsets via
-    ray.put and each block adds its internal exclusive cumsum — map-only.
+    `broadcast.put` and each block adds its internal exclusive cumsum — map-only.
     Unique order keys make block-min keys unique, so the offset lookup is
     exact. NULL vals count as 0."""
     import numpy as np
-    import ray
 
     sorted_ds = ds.sort(order_col).materialize()
 
@@ -281,15 +278,12 @@ def ordered_prefix_sum(ds, order_col: str, val_col: str, out_col: str = "cum_pre
     for r in stats:
         offsets[r["k"]] = run
         run += int(r["s"])
-    ref = ray.put(offsets)
+    offsets_b = broadcast.put(offsets)
 
     def attach(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return t.append_column(out_col, pa.array([], pa.int64()))
-        offs = ref
-        if isinstance(offs, ray.ObjectRef):
-            offs = ray.get(offs)
-        base = offs[t[order_col][0].as_py()]
+        base = offsets_b.get()[t[order_col][0].as_py()]
         v = (
             pc.fill_null(pc.cast(t[val_col], pa.int64()), 0)
             .combine_chunks()

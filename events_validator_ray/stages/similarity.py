@@ -2,7 +2,7 @@
 (`list<float>`).
 
 Baseline: brute-force cosine top-k — the query matrix is broadcast ONCE via
-``ray.put`` (read per actor/task, never re-shipped per batch); each
+``broadcast.put`` (fetched once per task, never re-shipped per batch); each
 ``map_batches`` call does one float64 matmul (batch × queries) and emits only
 its per-batch top-k candidate rows; a final tiny per-query reduction keeps the
 global top-k. Wall-clock scales linearly in corpus size with zero shuffle of
@@ -20,6 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from . import broadcast
+
 
 def _normalize(M: np.ndarray) -> np.ndarray:
     return M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-12)
@@ -27,7 +29,7 @@ def _normalize(M: np.ndarray) -> np.ndarray:
 
 class BruteForceTopK:
     """map_batches stage: per-batch cosine top-k against the broadcast query
-    matrix (queries fetched from the object store once per worker).
+    matrix (queries fetched from the object store once per task).
 
     `bucket_col` + a probe matrix in the broadcast tuple restrict each QUERY
     to its own probed IVF buckets — without it, ann_topk_ivf scored every
@@ -42,7 +44,7 @@ class BruteForceTopK:
         id_col: str = "vec_id",
         bucket_col: str | None = None,
     ):
-        # ray.ObjectRef to (q_ids, Q) or (q_ids, Q, probe) — probe is an
+        # broadcast handle of (q_ids, Q) or (q_ids, Q, probe) — probe is an
         # (n_q, nprobe) int bucket matrix, required when bucket_col is set
         self.queries_ref = queries_ref
         self.k = k
@@ -54,14 +56,7 @@ class BruteForceTopK:
 
     def _queries(self):
         if self._q is None:
-            obj = self.queries_ref
-            try:
-                import ray
-
-                if isinstance(obj, ray.ObjectRef):
-                    obj = ray.get(obj)
-            except Exception:
-                pass
+            obj = self.queries_ref.get()
             if len(obj) == 3:
                 q_ids, Q, probe = obj
                 self._probe = np.asarray(probe)
@@ -121,8 +116,6 @@ def ann_topk(ds, query_ids: list, k: int = 10, col: str = "embedding", id_col: s
     """Global cosine top-k of each query vector against the corpus.
     Returns a DataFrame (query_id, vec_id, rank, score) with rank 1..k by
     descending score (ties broken by vec_id for determinism)."""
-    import ray
-
     qarr = pa.array(list(query_ids))
 
     def grab(batch: pa.Table) -> pa.Table:
@@ -134,10 +127,8 @@ def ann_topk(ds, query_ids: list, k: int = 10, col: str = "embedding", id_col: s
     by_id = {r[id_col]: r[col] for r in qrows}
     q_ids = [q for q in query_ids if q in by_id]
     Q = np.stack([np.asarray(by_id[q], dtype=np.float64) for q in q_ids])
-    ref = ray.put((q_ids, Q))
-
     partials = ds.map_batches(
-        BruteForceTopK(ref, k, col, id_col), batch_format="pyarrow"
+        BruteForceTopK(broadcast.put((q_ids, Q)), k, col, id_col), batch_format="pyarrow"
     ).to_pandas()
     # final per-query reduction (tiny: n_queries × k × n_blocks rows)
     partials = partials.sort_values(
@@ -178,23 +169,9 @@ class IVFAssign:
     def __init__(self, centroids_ref, col: str = "embedding"):
         self.centroids_ref = centroids_ref
         self.col = col
-        self._C = None
-
-    def _c(self):
-        if self._C is None:
-            obj = self.centroids_ref
-            try:
-                import ray
-
-                if isinstance(obj, ray.ObjectRef):
-                    obj = ray.get(obj)
-            except Exception:
-                pass
-            self._C = np.asarray(obj, dtype=np.float64)
-        return self._C
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        C = self._c()
+        C = self.centroids_ref.get()  # float64 (train_centroids)
         if batch.num_rows == 0:
             return batch.append_column("ivf_bucket", pa.array([], pa.int32()))
         E = _normalize(np.stack(batch[self.col].to_numpy(zero_copy_only=False)).astype(np.float64))
@@ -213,11 +190,8 @@ def ann_topk_ivf(
 ):
     """IVF-bucketed ANN: search only the `nprobe` closest buckets per query.
     Approximate (recall < 1 by design); compare against ann_topk in tests."""
-    import ray
-
     C = train_centroids(ds, n_centroids, col=col)
-    cref = ray.put(C)
-    assigned = ds.map_batches(IVFAssign(cref, col), batch_format="pyarrow")
+    assigned = ds.map_batches(IVFAssign(broadcast.put(C), col), batch_format="pyarrow")
 
     qarr = pa.array(list(query_ids))
 
@@ -238,22 +212,19 @@ def ann_topk_ivf(
 
     # broadcast semi-join on the probed bucket set (bounded by centroids ×
     # nprobe; never a literal in-list expression)
-    bref = ray.put(np.asarray(wanted_buckets, dtype=np.int32))
+    buckets = broadcast.put(np.asarray(wanted_buckets, dtype=np.int32))
 
     def keep_probed(t: pa.Table) -> pa.Table:
-        buckets = bref
-        if isinstance(buckets, ray.ObjectRef):
-            buckets = ray.get(buckets)
         b = t["ivf_bucket"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(np.isin(b, buckets)))
+        return t.filter(pa.array(np.isin(b, buckets.get())))
 
     filtered = assigned.map_batches(keep_probed, batch_format="pyarrow")
     # ship the per-query probe matrix so scoring restricts each query to ITS
     # buckets — scoring the union of all queries' buckets approaches brute
     # force as the query count grows
-    qref = ray.put((q_ids, Q, probe.astype(np.int32)))
+    queries = broadcast.put((q_ids, Q, probe.astype(np.int32)))
     partials = filtered.map_batches(
-        BruteForceTopK(qref, k, col, id_col, bucket_col="ivf_bucket"),
+        BruteForceTopK(queries, k, col, id_col, bucket_col="ivf_bucket"),
         batch_format="pyarrow",
     ).to_pandas()
     partials = partials.sort_values(
@@ -338,8 +309,6 @@ def kmeans_fit(ds, k: int = 8, iters: int = 4, col: str = "embedding", id_col: s
     the payload bytes). Empty clusters keep their previous centroid."""
     import pickle
 
-    import ray
-
     from .fold import fold_payloads
 
     def min_ids(t: pa.Table) -> pa.Table:
@@ -355,10 +324,10 @@ def kmeans_fit(ds, k: int = 8, iters: int = 4, col: str = "embedding", id_col: s
 
     proj = ds.select_columns([col])
     for _ in range(iters):
-        cref = ray.put(C)
+        centroids = broadcast.put(C)
 
-        def partial(t: pa.Table, _cref=cref) -> pa.Table:
-            Cw = ray.get(_cref) if isinstance(_cref, ray.ObjectRef) else _cref
+        def partial(t: pa.Table) -> pa.Table:
+            Cw = centroids.get()
             if t.num_rows == 0:
                 s, c = np.zeros_like(Cw), np.zeros(Cw.shape[0], dtype=np.int64)
             else:
@@ -396,16 +365,14 @@ def kmeans_assign(
     keep_cols: tuple = (),
 ):
     """Map-only nearest-centroid assignment against broadcast centroids
-    (ray.put once, read per worker): (id_col, *keep_cols, cluster_id). Ties
+    (`broadcast.put` once, read per task): (id_col, *keep_cols, cluster_id). Ties
     break to the lowest cluster_id (np.argmin), matching the twin's
     ORDER BY d, cluster_id. `keep_cols` rides scalar columns through the
     map (labels, weights) so downstream per-cluster reports need no join."""
-    import ray
-
-    cref = ray.put(np.asarray(centroids, dtype=np.float64))
+    C_b = broadcast.put(np.asarray(centroids, dtype=np.float64))
 
     def assign(t: pa.Table) -> pa.Table:
-        C = ray.get(cref) if isinstance(cref, ray.ObjectRef) else cref
+        C = C_b.get()
         sel = t.select([id_col, *keep_cols])
         if t.num_rows == 0:
             return sel.append_column("cluster_id", pa.array([], pa.int64()))
@@ -479,7 +446,7 @@ def semantic_dedup(
     = 1 iff the vector is not its component's keeper.
 
     Scale shape: one broadcast map (nearest-centroid assignment, centroids
-    ray.put once) + ONE shuffle co-locating each cluster + per-cluster
+    `broadcast.put` once) + ONE shuffle co-locating each cluster + per-cluster
     vectorized work (normalize, gram matrix, local union-find). Components
     never span clusters, so labels are GROUP-LOCAL: no global label
     propagation, no driver pull — the labeling streams straight out of
@@ -540,24 +507,13 @@ class _CosinePairsBlock:
     emits (a, b, score) for a < b with cosine >= threshold."""
 
     def __init__(self, corpus_ref, threshold: float, col: str, id_col: str):
-        self.corpus_ref = corpus_ref  # ObjectRef to (ids, normalized matrix)
+        self.corpus_ref = corpus_ref  # broadcast handle of (ids, normalized matrix)
         self.threshold = threshold
         self.col = col
         self.id_col = id_col
-        self._c = None
-
-    def _corpus(self):
-        if self._c is None:
-            obj = self.corpus_ref
-            import ray
-
-            if isinstance(obj, ray.ObjectRef):
-                obj = ray.get(obj)
-            self._c = obj
-        return self._c
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        all_ids, M = self._corpus()
+        all_ids, M = self.corpus_ref.get()
         if batch.num_rows == 0:
             idt = batch.schema.field(self.id_col).type
             return pa.table(
@@ -584,18 +540,16 @@ class _CosinePairsBlock:
 def exact_cosine_pairs(ds, threshold: float, col: str = "embedding", id_col: str = "vec_id"):
     """EXACT all-pairs cosine near-dup pairs (a < b, sim >= threshold): the
     brute-force ground-truth baseline for embedding_dedup's LSH path. The
-    corpus matrix is broadcast ONCE via ray.put and each map_batches block
+    corpus matrix is broadcast ONCE via `broadcast.put` and each map_batches block
     multiplies against it — linear scans, zero shuffle; use only when the
     embedding table fits the object store (the LSH variant is the scale
     path). Returns a Dataset (a, b, score)."""
-    import ray
-
     rows = ds.select_columns([id_col, col]).take_all()
     ids = np.array([r[id_col] for r in rows])
     M = _normalize(np.stack([np.asarray(r[col], dtype=np.float64) for r in rows]))
-    ref = ray.put((ids, M))
     return ds.map_batches(
-        _CosinePairsBlock(ref, threshold, col, id_col), batch_format="pyarrow"
+        _CosinePairsBlock(broadcast.put((ids, M)), threshold, col, id_col),
+        batch_format="pyarrow",
     )
 
 
@@ -620,23 +574,12 @@ class _KnnGraphBlock:
         # order by the SAME key as this block (micro-quantized ties would
         # otherwise re-break differently at the merge)
         self.emit_raw = emit_raw
-        self._c = None
-
-    def _corpus(self):
-        if self._c is None:
-            obj = self.corpus_ref
-            try:
-                import ray
-
-                if isinstance(obj, ray.ObjectRef):
-                    obj = ray.get(obj)
-            except Exception:
-                pass
-            self._c = obj
-        return self._c
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        all_ids, M = self._corpus()
+        return self.score(*self.corpus_ref.get(), batch)
+
+    def score(self, all_ids: np.ndarray, M: np.ndarray, batch: pa.Table) -> pa.Table:
+        """This block's top-k rows against the corpus (all_ids, M)."""
         idt = batch.schema.field(self.id_col).type
         empty_cols = {
             "vec_id": pa.array([], idt),
@@ -694,18 +637,15 @@ def knn_graph(ds, k: int = 5, col: str = "embedding", id_col: str = "vec_id"):
     """EXACT all-pairs kNN graph: every vector's top-k cosine neighbors
     (self excluded, ties broken by neighbor_id) → (vec_id, neighbor_id,
     rank, score_micro). The brute-force baseline behind embedding-cluster /
-    near-dup graph construction: corpus matrix broadcast ONCE via ray.put,
+    near-dup graph construction: corpus matrix broadcast ONCE via `broadcast.put`,
     one matmul per block, each block's output is final (no shuffle, no
     reduction). O(n²) compute spread across blocks; use when the embedding
     table fits the object store — knn_graph_ivf is the bucketed scale path."""
-    import ray
-
     rows = ds.select_columns([id_col, col]).take_all()
     ids = np.array([r[id_col] for r in rows])
     M = _normalize(np.stack([np.asarray(r[col], dtype=np.float64) for r in rows]))
-    ref = ray.put((ids, M))
     return ds.select_columns([id_col, col]).map_batches(
-        _KnnGraphBlock(ref, k, col, id_col), batch_format="pyarrow"
+        _KnnGraphBlock(broadcast.put((ids, M)), k, col, id_col), batch_format="pyarrow"
     )
 
 
@@ -721,23 +661,9 @@ class _IVFProbeReplicate:
         self.nprobe = nprobe
         self.col = col
         self.id_col = id_col
-        self._C = None
-
-    def _c(self):
-        if self._C is None:
-            obj = self.centroids_ref
-            try:
-                import ray
-
-                if isinstance(obj, ray.ObjectRef):
-                    obj = ray.get(obj)
-            except Exception:
-                pass
-            self._C = np.asarray(obj, dtype=np.float64)
-        return self._C
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        C = self._c()
+        C = self.centroids_ref.get()  # float64 (train_centroids)
         idt = batch.schema.field(self.id_col).type
         if batch.num_rows == 0:
             return pa.table(
@@ -802,8 +728,9 @@ class _KnnBucketPartials:
         # emit_raw: the merge must order by the SAME float64 key this block
         # used — micro-quantized scores would re-break ties differently
         blk = _KnnGraphBlock(None, self.k, self.col, self.id_col, emit_raw=True)
-        blk._c = (cand_ids, Mc)
-        t = blk(
+        t = blk.score(
+            cand_ids,
+            Mc,
             pa.table(
                 {
                     self.id_col: pa.array(df[self.id_col].to_numpy()),
@@ -854,12 +781,9 @@ def knn_graph_ivf(
     Approximate by construction (a true neighbor outside all probed buckets
     is missed); recall vs knn_graph is asserted in tests, mirroring
     ann_topk_ivf."""
-    import ray
-
     C = train_centroids(ds, n_centroids=n_centroids, col=col)
-    cref = ray.put(C)
     probed = ds.select_columns([id_col, col]).map_batches(
-        _IVFProbeReplicate(cref, nprobe, col, id_col), batch_format="pyarrow"
+        _IVFProbeReplicate(broadcast.put(C), nprobe, col, id_col), batch_format="pyarrow"
     )
     partials = probed.groupby("ivf_bucket").map_groups(
         _KnnBucketPartials(k, col, id_col), batch_format="pandas"
@@ -882,8 +806,8 @@ def hard_negatives(
     pairs a metric-learning loss needs. Composes the exact kNN graph with a
     label attach and a vectorized label-mismatch filter. The attach is GATED
     like dedup's label attach: an id→label table ≤ broadcast_max_labels is
-    ray.put once and mapped in (two shuffle-free lookups); above the gate it
-    takes two bucketed hash joins — tested path-equal.
+    `broadcast.put` once and mapped in (two shuffle-free lookups); above the
+    gate it takes two bucketed hash joins — tested path-equal.
     Returns (vec_id, neighbor_id, rank, score_micro, label, neighbor_label)."""
     import pandas as pd
 
@@ -902,34 +826,16 @@ def hard_negatives(
     mismatch.__name__ = "label_mismatch_filter"
 
     if labels.count() <= broadcast_max_labels:
-        import ray
-
         ldf = labels.to_pandas()
-        ref = ray.put(pd.Series(ldf[label_col].to_numpy(), index=ldf[id_col]))
+        lab = broadcast.put(pd.Series(ldf[label_col].to_numpy(), index=ldf[id_col]))
 
-        class AttachLabels:
-            def __init__(self, labels_ref):
-                obj = labels_ref
-                try:
-                    if isinstance(obj, ray.ObjectRef):
-                        obj = ray.get(obj)
-                except Exception:
-                    pass
-                self.labels = obj
+        def attach_labels(df: pd.DataFrame) -> pd.DataFrame:
+            m = lab.get()
+            return mismatch(
+                df.assign(label=df["vec_id"].map(m), neighbor_label=df["neighbor_id"].map(m))
+            )
 
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                df = df.assign(
-                    label=df["vec_id"].map(self.labels),
-                    neighbor_label=df["neighbor_id"].map(self.labels),
-                )
-                return mismatch(df)
-
-        return graph.map_batches(
-            AttachLabels,
-            fn_constructor_kwargs={"labels_ref": ref},
-            batch_format="pandas",
-            concurrency=(1, 8),
-        )
+        return graph.map_batches(attach_labels, batch_format="pandas")
 
     def rename(cols: dict):
         def fn(df: pd.DataFrame) -> pd.DataFrame:

@@ -2,12 +2,13 @@
 scoring, language ID, and document fingerprinting (training-data pipeline
 ops).
 
-Each is a vectorized / precompiled ``map_batches`` stage: the language
-profiles and regexes are compiled once per actor in ``__init__`` (the "load
-model once" pattern — the analog of the reference's lazily-initialized client
-singletons, streamlit_ev/app/helpers/gcp.py:15-60); per-batch work is pandas
-.str / numpy kernels, no Python row loops except the C-speed re.findall
-tokenizer.
+Each is a vectorized / precompiled ``map_batches`` stage run as plain
+tasks: the language profiles and regexes are compiled once in ``__init__``
+on the driver and ship with the instance, and lookup tables reach the tasks
+through ``broadcast.put`` (the "load model once" pattern — the analog of the
+reference's lazily-initialized client singletons,
+streamlit_ev/app/helpers/gcp.py:15-60); per-batch work is pandas .str /
+numpy kernels, no Python row loops except the C-speed re.findall tokenizer.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from . import broadcast
 from .exchange import exchange
 
 TOKEN_PATTERN = r"[a-z0-9]+"
@@ -377,18 +379,14 @@ def _gram_strings(texts, k: int):
 class ContaminationScan:
     """Benchmark-decontamination scan (the GPT-3/Gopher-style n-gram overlap
     check): count each document's word-k-gram occurrences that also appear in
-    a broadcast benchmark gram set. The benchmark set is `ray.put` once
-    (eval suites are small by nature — the broadcast is bounded by benchmark
-    size, never corpus size) and read zero-copy in every task; the scan
-    itself is map-only (`pc.is_in` against the set), so the stage streams at
-    any corpus scale with no shuffle."""
+    a broadcast benchmark gram set. The benchmark set is `broadcast.put`
+    once by `build_benchmark_grams` (eval suites are small by nature — the
+    broadcast is bounded by benchmark size, never corpus size) and read
+    zero-copy in every task; the scan itself is map-only (`pc.is_in` against
+    the set), so the stage streams at any corpus scale with no shuffle."""
 
     def __init__(self, bench_ref, k: int = 5, col: str = "text", id_col: str = "doc_id"):
-        import ray
-
-        self.grams = (
-            ray.get(bench_ref) if isinstance(bench_ref, ray.ObjectRef) else bench_ref
-        )
+        self.grams = bench_ref  # broadcast handle of the gram StringArray
         self.k = k
         self.col = col
         self.id_col = id_col
@@ -401,7 +399,7 @@ class ContaminationScan:
         grams, gram_doc, n_grams = _gram_strings(batch[self.col], self.k)
         n_hits = np.zeros(n_docs, dtype=np.int64)
         if len(grams):
-            hit = pc.is_in(grams, value_set=self.grams).to_numpy(zero_copy_only=False)
+            hit = pc.is_in(grams, value_set=self.grams.get()).to_numpy(zero_copy_only=False)
             np.add.at(n_hits, gram_doc, hit.astype(np.int64))
         return pa.table(
             {
@@ -414,11 +412,10 @@ class ContaminationScan:
 
 def build_benchmark_grams(bench_ds, k: int = 5, col: str = "text"):
     """Distinct word-k-gram strings of a (small) benchmark dataset as a
-    broadcast-ready ObjectRef. Per-block distinct happens distributed; the
+    `broadcast.Broadcast` handle. Per-block distinct happens distributed; the
     driver pull is the benchmark's distinct-gram set — bounded by the eval
     suite, not the training corpus."""
     import pyarrow as pa
-    import ray
 
     def distinct_grams(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -428,7 +425,7 @@ def build_benchmark_grams(bench_ds, k: int = 5, col: str = "text"):
 
     parts = bench_ds.map_batches(distinct_grams, batch_format="pyarrow").take_all()
     uniq = np.unique(np.array([r["gram"] for r in parts], dtype=object))
-    return ray.put(pa.array(uniq, type=pa.string()))
+    return broadcast.put(pa.array(uniq, type=pa.string()))
 
 
 #: RE2-compatible PII patterns (no lookahead/backrefs): both pyarrow and
@@ -444,7 +441,7 @@ class PiiScan:
     (emails -> <EMAIL>, then URLs -> <URL> — application order is part of the
     contract and mirrored in the SQL twin). Map-only RE2 kernels
     (`count_substring_regex` / `replace_substring_regex`), compiled pattern
-    state held per actor; no shuffle, streams at any scale."""
+    state held per instance; no shuffle, streams at any scale."""
 
     def __init__(self, col: str = "text", id_col: str = "doc_id"):
         self.col = col
@@ -482,7 +479,7 @@ def quality_scores(ds, col: str = "text"):
 
 
 def lang_id(ds, col: str = "text"):
-    return ds.map_batches(LangId(col), batch_format="pyarrow", concurrency=4)
+    return ds.map_batches(LangId(col), batch_format="pyarrow")
 
 
 def fingerprints(ds, col: str = "text"):
@@ -653,10 +650,9 @@ def oov_stats(ds, vocab_k: int = 64, col: str = "text", id_col: str = "doc_id"):
     Scale shape: one map-only tf expansion feeds the vocabulary-scale df
     reduction (never corpus-scale rows); the top-k is a k-row driver pull off
     a sorted vocab table; the corpus pass is map-only against the broadcast
-    (ray.put) vocab with vectorized `pc.is_in`."""
+    (`broadcast.put`) vocab with vectorized `pc.is_in`."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
 
     from ..functions.textkernels import tokenize
     from .assembly import bucketed_count_per_key
@@ -665,19 +661,16 @@ def oov_stats(ds, vocab_k: int = 64, col: str = "text", id_col: str = "doc_id"):
     # (term, df): one tf row per (doc, term), so a row count is the df
     dfs = bucketed_count_per_key(tf, "term", "df")
     top = dfs.sort(["df", "term"], descending=[True, False]).limit(vocab_k).take_all()
-    vocab_ref = ray.put(pa.array([r["term"] for r in top], pa.string()))
+    vocab = broadcast.put(pa.array([r["term"] for r in top], pa.string()))
 
     def score(batch: pa.Table) -> pa.Table:
-        vocab = vocab_ref
-        if isinstance(vocab, ray.ObjectRef):
-            vocab = ray.get(vocab)
         sel = batch.select([id_col])
         if batch.num_rows == 0:
             return sel.append_column("n_tokens", pa.array([], pa.int64())).append_column(
                 "n_oov", pa.array([], pa.int64())
             )
         flat, doc_idx, n_tokens = tokenize(batch[col])
-        inv = pc.fill_null(pc.is_in(flat, value_set=vocab), False).to_numpy(
+        inv = pc.fill_null(pc.is_in(flat, value_set=vocab.get()), False).to_numpy(
             zero_copy_only=False
         )
         n_oov = np.bincount(doc_idx[~inv], minlength=batch.num_rows).astype(np.int64)
@@ -738,13 +731,11 @@ def tfidf_top_terms(
     int64/string, so the DuckDB twin is bit-exact.
 
     Scale ladder (the dedup-plane idiom): the (term, df) table is
-    vocabulary-sized — broadcast it via `ray.put` when it fits
+    vocabulary-sized — broadcast it via `broadcast.put` when it fits
     (`broadcast_max_terms`), finishing tf-idf + per-doc argmax entirely
     map-side with ZERO extra shuffle (tf blocks are doc-local); above the
     threshold, attach df with `bucketed_hash_join` on term and finish with a
     per-block partial argmax + one exchange keyed by doc."""
-    import ray
-
     from .assembly import bucketed_count_per_key
     from .joins import bucketed_hash_join
 
@@ -758,39 +749,27 @@ def tfidf_top_terms(
 
     if n_terms <= broadcast_max_terms:
         dfp = df_ds.to_pandas()
-        ref = ray.put(dict(zip(dfp["term"], dfp["df"].astype("int64"))))
+        df_map = broadcast.put(dict(zip(dfp["term"], dfp["df"].astype("int64"))))
 
-        class ScoreDocs:
+        def score_docs(batch: "pa.Table") -> pd.DataFrame:
             """Tokenize + tf + score + per-doc argmax in ONE stage over the
             original doc rows: the tf expansion never leaves the task, so
             dynamic output-block splitting can never cut a document's tf
             rows across blocks mid-argmax (output is one row per doc —
             block splits between rows are doc-aligned by construction)."""
+            tfd = tf_stage(batch).to_pandas()
+            if len(tfd) == 0:
+                return pd.DataFrame(
+                    {id_col: pd.Series(dtype="int64"),
+                     "top_term": pd.Series(dtype=object),
+                     "top_score": pd.Series(dtype="int64")}
+                )
+            dfv = tfd["term"].map(df_map.get()).to_numpy(dtype=np.int64)
+            idf = _bitlen_pos(np.int64(n_docs) // dfv)
+            scored = tfd.assign(score=tfd["tf"].to_numpy(dtype=np.int64) * idf)
+            return _argmax_per_doc(scored, id_col)
 
-            def __init__(self, df_ref, n: int):
-                self.df_map = ray.get(df_ref) if isinstance(df_ref, ray.ObjectRef) else df_ref
-                self.n = n
-
-            def __call__(self, batch: "pa.Table") -> pd.DataFrame:
-                tf_tbl = tf_stage(batch)
-                tfd = tf_tbl.to_pandas()
-                if len(tfd) == 0:
-                    return pd.DataFrame(
-                        {id_col: pd.Series(dtype="int64"),
-                         "top_term": pd.Series(dtype=object),
-                         "top_score": pd.Series(dtype="int64")}
-                    )
-                dfv = tfd["term"].map(self.df_map).to_numpy(dtype=np.int64)
-                idf = _bitlen_pos(np.int64(self.n) // dfv)
-                scored = tfd.assign(score=tfd["tf"].to_numpy(dtype=np.int64) * idf)
-                return _argmax_per_doc(scored, id_col)
-
-        return ds.map_batches(
-            ScoreDocs,
-            fn_constructor_kwargs={"df_ref": ref, "n": n_docs},
-            batch_format="pyarrow",
-            concurrency=(1, 8),
-        )
+        return ds.map_batches(score_docs, batch_format="pyarrow")
 
     # join path: materialize the corpus-scale tf table once — the join
     # consumes it a second time and a lazy plan would re-tokenize
@@ -884,8 +863,8 @@ def ngram_pmi(ds, min_count: int = 5, col: str = "text", broadcast_max_terms: in
     corpus — the CLAUDE.md group-cardinality rule); the bigram table is then
     min_count-filtered (small) and enriched with the two unigram counts. The unigram
     attach is GATED like tfidf's: a vocabulary ≤ broadcast_max_terms is
-    ray.put once and mapped in (two shuffle-free lookups); above the gate it
-    takes TWO bucketed hash joins (stages/joins.py:bucketed_hash_join) —
+    `broadcast.put` once and mapped in (two shuffle-free lookups); above the
+    gate it takes TWO bucketed hash joins (stages/joins.py:bucketed_hash_join) —
     tested path-equal."""
     import pyarrow as pa
 
@@ -977,33 +956,14 @@ def ngram_pmi(ds, min_count: int = 5, col: str = "text", broadcast_max_terms: in
         # vocabulary fits comfortably: ship it once, attach with two
         # shuffle-free map lookups (the normal regime for natural language —
         # vocab grows ~log corpus)
-        import ray
-
         udf = uni.to_pandas()
-        ref = ray.put(pd.Series(udf["_n_tok"].to_numpy(), index=udf["tok"]))
+        counts = broadcast.put(pd.Series(udf["_n_tok"].to_numpy(), index=udf["tok"]))
 
-        class AttachUnigrams:
-            def __init__(self, counts_ref):
-                obj = counts_ref
-                try:
-                    if isinstance(obj, ray.ObjectRef):
-                        obj = ray.get(obj)
-                except Exception:
-                    pass
-                self.counts = obj
+        def attach_unigrams(df: pd.DataFrame) -> pd.DataFrame:
+            c = counts.get()
+            return finish(df.assign(n_x=df["w1"].map(c), n_y=df["w2"].map(c)))
 
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                df = df.assign(
-                    n_x=df["w1"].map(self.counts), n_y=df["w2"].map(self.counts)
-                )
-                return finish(df)
-
-        return pairs.map_batches(
-            AttachUnigrams,
-            fn_constructor_kwargs={"counts_ref": ref},
-            batch_format="pandas",
-            concurrency=(1, 8),
-        )
+        return pairs.map_batches(attach_unigrams, batch_format="pandas")
 
     def rename(cols: dict):
         def fn(df: pd.DataFrame) -> pd.DataFrame:

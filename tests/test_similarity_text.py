@@ -111,11 +111,11 @@ def test_multimodal_plumbing(ray_session):
     )
 
     media = rd.from_arrow(synthetic_media(48))
-    feats = decode_images(media, feature_dim=32, concurrency=2).take_all()
+    feats = decode_images(media, feature_dim=32).take_all()
     assert len(feats) == 16  # every 3rd is an image
     assert all(len(r["features"]) == 32 for r in feats)
     # deterministic across runs
-    feats2 = decode_images(rd.from_arrow(synthetic_media(48)), feature_dim=32, concurrency=2).take_all()
+    feats2 = decode_images(rd.from_arrow(synthetic_media(48)), feature_dim=32).take_all()
     a = {r["media_id"]: tuple(r["features"]) for r in feats}
     b = {r["media_id"]: tuple(r["features"]) for r in feats2}
     assert a == b
@@ -315,7 +315,7 @@ def test_multimodal_real_codec_paths(ray_session):
         for r in tbl.to_pylist()
     }
     media = rd.from_arrow(tbl)
-    feats = decode_images(media, feature_dim=16, concurrency=2, allow_fake=False).take_all()
+    feats = decode_images(media, feature_dim=16, allow_fake=False).take_all()
     assert len(feats) == 16
     for r in feats:
         assert (r["width"], r["height"]) == truth[r["media_id"]][:2]
@@ -331,11 +331,9 @@ def test_multimodal_real_codec_paths(ray_session):
     resized = (
         media.filter(expr="kind == 'image'")
         .map_batches(
-            ResizeImage,
-            fn_constructor_kwargs={"width": 24, "height": 20, "allow_fake": False},
+            ResizeImage(width=24, height=20, allow_fake=False),
             batch_format="pyarrow",
             batch_size=8,
-            concurrency=2,
         )
         .take_all()
     )
