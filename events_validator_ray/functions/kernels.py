@@ -24,9 +24,17 @@ def is_list_kind(t: pa.DataType) -> bool:
     return pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t)
 
 
+def value_type(t: pa.DataType) -> pa.DataType:
+    """The type of the values a column holds: a dictionary column's value
+    type (a pandas categorical written to Parquet reads back as
+    ``dictionary<values=string>``), any other type itself."""
+    return t.value_type if pa.types.is_dictionary(t) else t
+
+
 def arrow_js_typeof(t: pa.DataType) -> str:
     """JS `typeof` of a non-null value stored in an Arrow column of type `t`
     (mirrors oracle.js_typeof on the Python-side values)."""
+    t = value_type(t)
     if is_string_type(t):
         return "string"
     if pa.types.is_boolean(t):
@@ -43,7 +51,10 @@ def arrow_js_typeof(t: pa.DataType) -> str:
 def js_string_cast(col: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray | pa.Array:
     """`x.toString()` vectorized. Arrow's cast already matches JS for the types
     we support (2.0 -> '2', 1.5 -> '1.5', true -> 'true') except float
-    specials: JS says 'NaN'/'Infinity', Arrow says 'nan'/'inf'."""
+    specials: JS says 'NaN'/'Infinity', Arrow says 'nan'/'inf'. A dictionary
+    column is decoded first."""
+    if pa.types.is_dictionary(col.type):
+        return js_string_cast(pc.cast(col, col.type.value_type))
     if is_string_type(col.type):
         return col
     if pa.types.is_fixed_size_list(col.type):
@@ -110,15 +121,53 @@ def bool_np(mask: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return mask.to_numpy(zero_copy_only=False).astype(bool, copy=False)
 
 
+def valid_np(arr: pa.Array) -> np.ndarray:
+    """The validity bitmap of a (non-chunked) array as numpy bool, read in
+    place; all True when the array has no NULL."""
+    if not arr.null_count:
+        return np.ones(len(arr), dtype=bool)
+    bits = np.frombuffer(arr.buffers()[0], dtype=np.uint8)
+    return np.unpackbits(bits, count=arr.offset + len(arr), bitorder="little")[arr.offset :].view(bool)
+
+
 def null_mask_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    if not col.null_count:
+        return np.zeros(len(col), dtype=bool)
     return bool_np(pc.is_null(col))
 
 
 def trim_empty_mask_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """value.trim() === '' (non-null rows only): empty, or only whitespace.
-    Tests each string in place instead of building a trimmed copy of every
-    one (``text`` included) to find the rare blank ones."""
-    return bool_np(pc.or_(pc.utf8_is_space(col), pc.equal(pc.binary_length(col), 0)))
+    A string whose first byte is printable non-space ASCII (0x21-0x7E)
+    cannot be blank, so ``utf8_is_space`` runs only on the others (empty
+    strings and those starting with a space, a control byte or a multi-byte
+    character), read in place from the offsets and data buffers."""
+    if isinstance(col, pa.ChunkedArray):
+        if col.num_chunks == 1:
+            return trim_empty_mask_np(col.chunk(0))
+        return np.concatenate([trim_empty_mask_np(c) for c in col.chunks] or [np.zeros(0, dtype=bool)])
+    n = len(col)
+    width = 8 if pa.types.is_large_string(col.type) else 4
+    _, offs_buf, data_buf = col.buffers()
+    if offs_buf is None:  # a zero-length array may carry no buffers
+        return np.zeros(n, dtype=bool)
+    offs = np.frombuffer(offs_buf, dtype=f"<i{width}", count=n + 1, offset=col.offset * width)
+    if data_buf is None or data_buf.size == 0:
+        first = np.zeros(n, dtype=np.uint8)
+    else:
+        data = np.frombuffer(data_buf, dtype=np.uint8)
+        starts = offs[:-1].astype(np.intp)
+        first = data[np.minimum(starts, data.size - 1, out=starts)]
+    blank = offs[1:] == offs[:-1]  # empty; the others blank only if all space
+    maybe = ~blank & ((first < 0x21) | (first > 0x7E))
+    if col.null_count:  # a NULL row is never blank
+        valid = valid_np(col)
+        blank &= valid
+        maybe &= valid
+    maybe = np.flatnonzero(maybe)
+    if maybe.size:
+        blank[maybe] = bool_np(pc.utf8_is_space(col.take(pa.array(maybe, type=pa.int64()))))
+    return blank
 
 
 def falsy_mask_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -137,16 +186,17 @@ def falsy_mask_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 
 def const_str_array(value: str | None, n: int) -> pa.Array:
-    """Length-n string array of one constant — dictionary-encoded index trick,
-    O(n) int32 instead of O(n·len) bytes."""
-    if n == 0:
-        return pa.array([], type=pa.string())
+    """Length-n plain string array of one constant, built straight from its
+    buffers: offsets from ``arange`` and the value's bytes repeated."""
     if value is None:
         return pa.nulls(n, type=pa.string())
-    dic = pa.DictionaryArray.from_arrays(
-        pa.array(np.zeros(n, dtype=np.int32)), pa.array([value], type=pa.string())
+    data = value.encode()
+    if n * len(data) > np.iinfo(np.int32).max:
+        raise OverflowError(f"{n} copies of {value!r} pass the 2 GiB string-array limit")
+    offsets = np.arange(n + 1, dtype=np.int32) * np.int32(len(data))
+    return pa.Array.from_buffers(
+        pa.string(), n, [None, pa.py_buffer(offsets), pa.py_buffer(data * n)]
     )
-    return dic.cast(pa.string())
 
 
 def take_np(col: pa.ChunkedArray | pa.Array, idx: np.ndarray) -> pa.Array:

@@ -2,11 +2,11 @@
 
 Re-expresses the reference's record-at-a-time `checkWithSchema` walk
 (validator_src/helpers/validationHelpers.js:130-164) as ONE
-``map_batches(ValidateBatch, batch_format="pyarrow", zero_copy_batch=True)``
-stage: the spec is compiled once per actor into a list of vectorized branch
-evaluators (boolean masks via pyarrow.compute / numpy); each batch yields an
-Arrow violations table in the reference's 12-column BigQuery log shape
-(terraform_backend/src/bq_schema/bq_schema.json:1-63) — error rows
+``map_batches(ValidateBatch(spec), batch_format="pyarrow", zero_copy_batch=True)``
+stage: the spec is compiled into a list of vectorized branch evaluators
+(boolean masks via pyarrow.compute / numpy) once per block schema; each
+batch yields an Arrow violations table in the reference's 12-column BigQuery
+log shape (terraform_backend/src/bq_schema/bq_schema.json:1-63) — error rows
 (loggingHelpers.js:7-20), one `status='valid'` row per clean turn
 (logPassed, loggingHelpers.js:22-31), and optional per-field valid rows
 (logValidField, loggingHelpers.js:33-46).
@@ -22,7 +22,12 @@ Rule order per field: value -> enum -> type -> length -> regex
 Scale notes: the stage is embarrassingly parallel, pure (no shared state —
 unlike the reference's module-level accumulator arrays, loggingHelpers.js:2-4),
 and retry-safe; event ids are deterministic `{conv_id}:{turn_idx}` so retries
-are idempotent. Constant columns are built dictionary-encoded.
+are idempotent. Per block, a low-cardinality string column (its own
+dictionary, or a `dictionary_encode` when a head probe finds few distinct
+values) is tested once per distinct value and gathered back by its codes;
+`conv_id` and `text` are tested row by row. Each error column of the log is
+one gather over the branches' constants and array values, and the valid
+rows' `event_id` is a filter of the block's ids.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from ..functions.kernels import (
     null_mask_np,
     take_np,
     trim_empty_mask_np,
+    valid_np,
+    value_type,
 )
 from ..spec import RULE_ORDER, FieldRule, Spec
 
@@ -110,38 +117,132 @@ class Branch:
         return self.field_sort or ""
 
 
+#: rows of a plain string column whose distinct values the batch context
+#: counts before it dictionary-encodes the column (like ``fold.FOLD_ROWS``,
+#: no caller sets it)
+CODES_PROBE_ROWS = 256
+
+#: largest share of distinct values among the probed rows for which the
+#: column is encoded: past it the dictionary would be nearly as long as the
+#: block (``conv_id``, ``text``) and the per-value tests would not pay for
+#: the encode and the gathers
+CODES_MAX_SHARE = 0.25
+
+
+def _one_array(col: pa.ChunkedArray | pa.Array) -> pa.Array:
+    if isinstance(col, pa.Array):
+        return col
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+
+def _codes_of(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, pa.Array] | None:
+    """(per-row index into the dictionary, NULL rows one past its end; the
+    dictionary) of a string column: its own codes when it arrives
+    ``dictionary<string>``, a ``dictionary_encode`` when the column is longer
+    than the probe and its head shows few distinct values, None otherwise
+    (and for every other type)."""
+    t = col.type
+    if pa.types.is_dictionary(t):
+        if not is_string_type(t.value_type):
+            return None
+        enc = _one_array(col)
+    elif is_string_type(t):
+        # a block no longer than the probe is cheaper to test row by row
+        if len(col) <= CODES_PROBE_ROWS:
+            return None
+        head = col.slice(0, CODES_PROBE_ROWS)
+        if pc.count_distinct(head).as_py() > CODES_MAX_SHARE * CODES_PROBE_ROWS:
+            return None
+        enc = _one_array(col.dictionary_encode())
+    else:
+        return None
+    idx = enc.indices
+    width = idx.type.bit_width // 8
+    codes = np.frombuffer(
+        idx.buffers()[1], dtype=f"<i{width}", count=len(idx), offset=idx.offset * width
+    ).astype(np.intp)
+    if idx.null_count:
+        codes[~valid_np(idx)] = len(enc.dictionary)
+    return codes, enc.dictionary
+
+
 class _BatchCtx:
     """Per-batch cache of column masks / casts so independent rules on the same
-    column don't recompute them."""
+    column don't recompute them. A low-cardinality string column is tested
+    once per distinct value (``per_value``) and gathered back by its codes
+    (*Column Sketches*, SIGMOD 2018); any other column row by row."""
 
     def __init__(self, batch: pa.Table):
         self.batch = batch
         self.n = batch.num_rows
+        self._col: dict[str, Any] = {}
+        self._codes: dict[str, tuple[np.ndarray, pa.Array] | None] = {}
         self._null: dict[str, np.ndarray] = {}
         self._empty: dict[str, np.ndarray] = {}
         self._str: dict[str, pa.ChunkedArray] = {}
 
     def col(self, name: str):
-        return self.batch[name]
+        """The column with any dictionary decoded."""
+        if name not in self._col:
+            col = self.batch[name]
+            if pa.types.is_dictionary(col.type):
+                col = pc.cast(col, col.type.value_type)
+            self._col[name] = col
+        return self._col[name]
+
+    def codes(self, name: str, encode: bool = True) -> tuple[np.ndarray, pa.Array] | None:
+        """The column's codes (``_codes_of``). With ``encode=False`` only
+        codes at hand: the column's own, or an earlier test's encode."""
+        if name not in self._codes:
+            if not (encode or pa.types.is_dictionary(self.batch[name].type)):
+                return None
+            self._codes[name] = _codes_of(self.batch[name])
+        return self._codes[name]
+
+    def per_value(self, name: str, test: Callable[[Any], np.ndarray], encode: bool = True) -> np.ndarray:
+        """``test`` (strings -> numpy bool, NULL -> False) for every row of
+        the column: run on the dictionary and gathered by code when the
+        column has codes, else on the js-string cast of every row. A test
+        that costs no more per row than the encode itself (a compare, the
+        blank test) passes ``encode=False`` and takes only codes at hand."""
+        codes = self.codes(name, encode)
+        if codes is None:
+            return test(self.strcast(name))
+        idx, dictionary = codes
+        return np.append(test(dictionary), False)[idx]
+
+    def strings_at(self, name: str, idx: np.ndarray) -> pa.Array:
+        """The js-string values of rows ``idx`` (NULL rows NULL)."""
+        codes = self.codes(name, encode=False)
+        if codes is None:
+            return take_np(self.strcast(name), idx)
+        rows, dictionary = codes
+        sel = rows[idx]
+        return dictionary.take(pa.array(sel, mask=sel == len(dictionary)))
 
     def null(self, name: str) -> np.ndarray:
         if name not in self._null:
-            self._null[name] = null_mask_np(self.batch[name])
+            # a dictionary column's NULLs include rows coding a NULL entry
+            codes = self.codes(name, encode=False)
+            if codes is None:
+                self._null[name] = null_mask_np(self.col(name))
+            else:
+                idx, dictionary = codes
+                self._null[name] = np.append(null_mask_np(dictionary), True)[idx]
         return self._null[name]
 
     def empty(self, name: str) -> np.ndarray:
         """trim-empty mask (string columns only; False elsewhere)."""
         if name not in self._empty:
-            col = self.batch[name]
-            if is_string_type(col.type):
-                self._empty[name] = trim_empty_mask_np(col)
+            if is_string_type(value_type(self.batch[name].type)):
+                self._empty[name] = self.per_value(name, trim_empty_mask_np, encode=False)
             else:
                 self._empty[name] = np.zeros(self.n, dtype=bool)
         return self._empty[name]
 
     def strcast(self, name: str):
         if name not in self._str:
-            self._str[name] = js_string_cast(self.batch[name])
+            self._str[name] = js_string_cast(self.col(name))
         return self._str[name]
 
     def skip(self, name: str, optional: bool) -> np.ndarray:
@@ -527,14 +628,14 @@ def _compile_field(rule: FieldRule, schema: pa.Schema) -> list[CheckFn]:
             if expected_str is None:
                 mask = ~nulls  # null == null passes; any value mismatches
             else:
-                mask = bool_np(pc.not_equal(ctx.strcast(name), expected_str)) | nulls
+                mask = nulls | ctx.per_value(
+                    name, lambda s: bool_np(pc.not_equal(s, expected_str)), encode=False
+                )
             mask &= ~ctx.skip(name, rule.optional)
             idx = np.nonzero(mask)[0]
             if not idx.size:
                 return []
-            return [
-                Branch(idx, name, "value", expected_str, take_np(ctx.strcast(name), idx), pos["value"])
-            ]
+            return [Branch(idx, name, "value", expected_str, ctx.strings_at(name, idx), pos["value"])]
 
         checks.append(value_check)
 
@@ -546,7 +647,7 @@ def _compile_field(rule: FieldRule, schema: pa.Schema) -> list[CheckFn]:
 
         def enum_check(ctx: _BatchCtx, name=name) -> list[Branch]:
             nulls = ctx.null(name)
-            in_set = bool_np(pc.is_in(ctx.strcast(name), value_set=value_set))
+            in_set = ctx.per_value(name, lambda s: bool_np(pc.is_in(s, value_set=value_set)))
             mask = ~in_set
             if null_ok:
                 mask &= ~nulls
@@ -554,9 +655,7 @@ def _compile_field(rule: FieldRule, schema: pa.Schema) -> list[CheckFn]:
             idx = np.nonzero(mask)[0]
             if not idx.size:
                 return []
-            return [
-                Branch(idx, name, "enum", expected_str, take_np(ctx.strcast(name), idx), pos["enum"])
-            ]
+            return [Branch(idx, name, "enum", expected_str, ctx.strings_at(name, idx), pos["enum"])]
 
         checks.append(enum_check)
 
@@ -611,7 +710,7 @@ def _compile_field(rule: FieldRule, schema: pa.Schema) -> list[CheckFn]:
 
         def length_check(ctx: _BatchCtx, name=name, L=L) -> list[Branch]:
             # (val || []).length !== parseInt(length) (validationHelpers.js:76-85)
-            col = ctx.col(name)
+            col = ctx.col(name)  # a dictionary column decoded
             skip = ctx.skip(name, rule.optional)
             p = pos["length"]
             t = col.type
@@ -675,20 +774,26 @@ def _compile_field(rule: FieldRule, schema: pa.Schema) -> list[CheckFn]:
             eidx = np.nonzero(ev)[0]
             if eidx.size:
                 out.append(Branch(eidx, name, "regex", pattern, "empty_value", p))
-            strc = ctx.strcast(name)
             if py_rx is not None:
-                vals = strc.to_pylist()
-                matched = np.fromiter(
-                    (v is not None and py_rx.search(v) is not None for v in vals),
-                    dtype=bool,
-                    count=len(vals),
-                )
+
+                def test(strings) -> np.ndarray:
+                    vals = strings.to_pylist()
+                    return np.fromiter(
+                        (v is not None and py_rx.search(v) is not None for v in vals),
+                        dtype=bool,
+                        count=len(vals),
+                    )
+
             else:
-                matched = bool_np(pc.match_substring_regex(strc, pattern))
+
+                def test(strings) -> np.ndarray:
+                    return bool_np(pc.match_substring_regex(strings, pattern))
+
+            matched = ctx.per_value(name, test)
             mask = ~matched & ~nulls & ~empty & ~skip
             idx = np.nonzero(mask)[0]
             if idx.size:
-                out.append(Branch(idx, name, "regex", pattern, take_np(strc, idx), p))
+                out.append(Branch(idx, name, "regex", pattern, ctx.strings_at(name, idx), p))
             return out
 
         checks.append(regex_check)
@@ -715,7 +820,9 @@ def compile_ref_checks(spec: Spec, schema: pa.Schema) -> list[CheckFn]:
 
         def ref_check(ctx: _BatchCtx, r=r) -> list[Branch]:
             out: list[Branch] = []
-            when = bool_np(pc.equal(ctx.strcast(r.when_field), r.when_value))
+            when = ctx.per_value(
+                r.when_field, lambda s: bool_np(pc.equal(s, r.when_value)), encode=False
+            )
             nulls = ctx.null(r.field)
             expected = f"present iff {r.when_field}={r.when_value}"
             midx = np.nonzero(when & nulls)[0]
@@ -729,6 +836,57 @@ def compile_ref_checks(spec: Spec, schema: pa.Schema) -> list[CheckFn]:
 
         checks.append(ref_check)
     return checks
+
+
+def _as_string_array(x: pa.Array | pa.ChunkedArray) -> pa.Array:
+    x = _one_array(x)
+    return x if x.type == pa.string() else x.cast(pa.string())
+
+
+class _Rows:
+    """Log rows of consecutive branches, branch ``i`` covering ``counts[i]``
+    rows; ``column`` builds one log column over them with one ``take``,
+    whatever the number of branches."""
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+        self.branch = np.repeat(np.arange(counts.size), counts)
+        self.n = self.branch.size
+
+    def column(self, values: list[Any]) -> pa.Array:
+        """Branch ``i``'s ``values[i]`` is a constant (str | None) or an
+        array aligned with its rows. The constants come first and the
+        array-valued branches' values after them in one array, which the
+        column gathers."""
+        is_arr = np.array([isinstance(v, (pa.Array, pa.ChunkedArray)) for v in values], dtype=bool)
+        consts = pa.array([v for v, a in zip(values, is_arr) if not a], type=pa.string())
+        if not is_arr.any():
+            return pc.take(consts, pa.array(self.branch, type=pa.int64()))
+        pool = pa.concat_arrays(
+            [consts] + [_as_string_array(v) for v, a in zip(values, is_arr) if a]
+        )
+        arr_counts = self.counts * is_arr
+        # each branch's first slot in `pool`: its constant, or where its array starts
+        first = np.where(
+            is_arr, len(consts) + np.cumsum(arr_counts) - arr_counts, np.cumsum(~is_arr) - 1
+        )
+        within = np.arange(self.n) - np.repeat(np.cumsum(self.counts) - self.counts, self.counts)
+        idx = first[self.branch] + within * is_arr[self.branch]
+        return pc.take(pool, pa.array(idx, type=pa.int64()))
+
+
+def _run_ts_col(run_ts: _dt.datetime, n: int) -> pa.Array:
+    ts_us = int(run_ts.timestamp() * 1_000_000)
+    return pa.array(np.full(n, ts_us, dtype=np.int64), type=pa.timestamp("us"))
+
+
+def _log_table(n: int, **cols: pa.Array) -> pa.Table:
+    """An n-row ``VIOLATION_SCHEMA`` table: the given columns, every other
+    one NULL."""
+    nulls = pa.nulls(n, type=pa.string())  # every column not given is a string
+    return pa.Table.from_arrays(
+        [cols.get(name, nulls) for name in VIOLATION_SCHEMA.names], schema=VIOLATION_SCHEMA
+    )
 
 
 def _branches_to_table(
@@ -748,109 +906,67 @@ def _branches_to_table(
     branches = [b for b in branches if b.idx.size]
     branches.sort(key=lambda b: (b.sort_field, b.rule_pos, b.error_type))
 
-    idx_parts: list[np.ndarray] = []
-    field_parts: list[pa.Array] = []
-    etype_parts: list[pa.Array] = []
-    exp_parts: list[pa.Array] = []
-    act_parts: list[pa.Array] = []
-    err_row_mask = np.zeros(n_rows, dtype=bool)
+    rows = _Rows(np.array([b.idx.size for b in branches], dtype=np.int64))
+    all_idx = pa.array(
+        np.concatenate([b.idx for b in branches]) if branches else np.empty(0, dtype=np.int64),
+        type=pa.int64(),
+    )
+    n_err = rows.n
 
-    for b in branches:
-        k = b.idx.size
-        idx_parts.append(b.idx)
-        err_row_mask[b.idx] = True
-        if isinstance(b.field, (pa.Array, pa.ChunkedArray)):
-            farr = b.field
-            if isinstance(farr, pa.ChunkedArray):
-                farr = farr.combine_chunks()
-            field_parts.append(farr)
-        else:
-            field_parts.append(const_str_array(b.field, k))
-        etype_parts.append(const_str_array(b.error_type, k))
-        exp_parts.append(const_str_array(b.expected, k))
-        if isinstance(b.actual, (pa.Array, pa.ChunkedArray)):
-            arr = b.actual
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            act_parts.append(arr)
-        else:
-            act_parts.append(const_str_array(b.actual, k))
-
-    n_err = int(sum(p.size for p in idx_parts))
-    all_idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.int64)
-    ts_us = int(run_ts.timestamp() * 1_000_000)
-
-    def _concat(parts: list[pa.Array], n: int) -> pa.Array:
-        return pa.concat_arrays(parts) if parts else pa.array([], type=pa.string())
-
-    def _ts_col(n: int, idx: np.ndarray | None = None) -> pa.Array:
-        if ts_source is not None and idx is not None:
-            # event-time stamping: the violation carries the source row's ts
-            # (reporting by event day instead of validation day)
-            return take_np(ts_source, idx).cast(pa.timestamp("us"))
-        return pa.array(np.full(n, ts_us, dtype=np.int64), type=pa.timestamp("us"))
-
-    payload_col: pa.Array
     if log_payload and n_err:
         # LOG_PAYLOAD_WHEN_ERROR analog (loggingHelpers.js:18): serialize the
         # offending source row as JSON (slow path; off by default)
-        rows = batch.take(pa.array(all_idx, type=pa.int64())).to_pylist()
-        payload_col = pa.array(
-            [json.dumps(r, default=str, separators=(",", ":")) for r in rows],
+        payload = pa.array(
+            [json.dumps(r, default=str, separators=(",", ":")) for r in batch.take(all_idx).to_pylist()],
             type=pa.string(),
         )
     else:
-        payload_col = pa.nulls(n_err, type=pa.string())
+        payload = pa.nulls(n_err, type=pa.string())
 
-    err_tbl = pa.table(
-        {
-            "event_id": take_np(eid, all_idx),
-            "field": _concat(field_parts, n_err),
-            "error_type": _concat(etype_parts, n_err),
-            "expected": _concat(exp_parts, n_err),
-            "actual": _concat(act_parts, n_err),
-            "timestamp": _ts_col(n_err, all_idx),
-            "source_event": pa.nulls(n_err, type=pa.string()),
-            "status": const_str_array("error", n_err),
-            "event_name": const_str_array(event_name, n_err),
-            "event_data": payload_col,
-            "value": pa.nulls(n_err, type=pa.string()),
-            "type": pa.nulls(n_err, type=pa.string()),
-        },
-        schema=VIOLATION_SCHEMA,
+    err_tbl = _log_table(
+        n_err,
+        event_id=pc.take(eid, all_idx),
+        field=rows.column([b.field for b in branches]),
+        error_type=rows.column([b.error_type for b in branches]),
+        expected=rows.column([b.expected for b in branches]),
+        actual=rows.column([b.actual for b in branches]),
+        # event-time stamping: a violation carries its source row's ts
+        # (reporting by event day instead of validation day)
+        timestamp=_run_ts_col(run_ts, n_err)
+        if ts_source is None
+        else pc.take(ts_source, all_idx).cast(pa.timestamp("us")),
+        status=const_str_array("error", n_err),
+        event_name=const_str_array(event_name, n_err),
+        event_data=payload,
     )
-
     if not log_valid:
         return err_tbl
 
     # one status='valid' row per clean turn (logPassed, loggingHelpers.js:22-31)
-    vidx = np.nonzero(~err_row_mask)[0]
-    n_ok = vidx.size
-    ok_tbl = pa.table(
-        {
-            "event_id": take_np(eid, vidx),
-            "field": pa.nulls(n_ok, type=pa.string()),
-            "error_type": pa.nulls(n_ok, type=pa.string()),
-            "expected": pa.nulls(n_ok, type=pa.string()),
-            "actual": pa.nulls(n_ok, type=pa.string()),
-            "timestamp": _ts_col(n_ok, vidx),
-            "source_event": pa.nulls(n_ok, type=pa.string()),
-            "status": const_str_array("valid", n_ok),
-            "event_name": const_str_array(event_name, n_ok),
-            "event_data": pa.nulls(n_ok, type=pa.string()),
-            "value": pa.nulls(n_ok, type=pa.string()),
-            "type": pa.nulls(n_ok, type=pa.string()),
-        },
-        schema=VIOLATION_SCHEMA,
+    ok_eid, ok_ts = eid, ts_source
+    if n_err:
+        ok = np.ones(n_rows, dtype=bool)
+        ok[all_idx.to_numpy()] = False
+        keep = pa.array(ok)
+        ok_eid = eid.filter(keep)
+        ok_ts = None if ts_source is None else ts_source.filter(keep)
+    n_ok = len(ok_eid)
+    ok_tbl = _log_table(
+        n_ok,
+        event_id=ok_eid,
+        timestamp=_run_ts_col(run_ts, n_ok) if ok_ts is None else ok_ts.cast(pa.timestamp("us")),
+        status=const_str_array("valid", n_ok),
+        event_name=const_str_array(event_name, n_ok),
     )
     return pa.concat_tables([err_tbl, ok_tbl])
 
 
 class ValidateBatch:
-    """Callable class for ``map_batches`` actor pools: spec compiled once per
-    actor in ``__init__`` (the analog of loading the schema once — the
-    reference re-downloads it per event, index.js:45 / AGENTS.md:807), work per
-    batch in ``__call__``."""
+    """Callable instance for ``map_batches`` (run as plain tasks): the spec
+    is loaded once in ``__init__`` and compiled once per block schema, reused
+    while the schema repeats (the analog of loading the schema once — the
+    reference re-downloads it per event, index.js:45 / AGENTS.md:807), work
+    per batch in ``__call__``."""
 
     def __init__(
         self,
@@ -873,17 +989,16 @@ class ValidateBatch:
         self.include_refs = include_refs
         self.date_from = date_from
         self.log_valid_fields = log_valid_fields
-        self._compiled: tuple[tuple[str, ...], list[CheckFn]] | None = None
+        self._compiled: tuple[pa.Schema, list[CheckFn]] | None = None
 
     def _checks_for(self, schema: pa.Schema) -> list[CheckFn]:
-        key = tuple(f"{f.name}:{f.type}" for f in schema)
-        if self._compiled is None or self._compiled[0] != key:
+        if self._compiled is None or not self._compiled[0].equals(schema):
             checks: list[CheckFn] = []
             for rule in self.spec.fields.values():
                 checks.extend(_compile_field(rule, schema))
             if self.include_refs:
                 checks.extend(compile_ref_checks(self.spec, schema))
-            self._compiled = (key, checks)
+            self._compiled = (schema, checks)
         return self._compiled[1]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -920,8 +1035,9 @@ class ValidateBatch:
         one status='valid' row per field whose TYPE check passed, with
         `value` = JSON.stringify(rule.type). Off by default, like the
         reference flag (cloudHelpers.js:10)."""
-        tables = []
-        ts_us = int(self.run_ts.timestamp() * 1_000_000)
+        names: list[str] = []
+        types: list[str] = []
+        idx_parts: list[np.ndarray] = []
         for rule in self.spec.fields.values():
             if rule.type is None or rule.name not in batch.schema.names:
                 continue
@@ -935,33 +1051,23 @@ class ValidateBatch:
             if rule.optional:
                 mask &= ~ctx.null(rule.name)
             vidx = np.nonzero(mask)[0]
-            if not vidx.size:
-                continue
-            n = vidx.size
-            tables.append(
-                pa.table(
-                    {
-                        "event_id": take_np(eid, vidx),
-                        "field": const_str_array(rule.name, n),
-                        "error_type": pa.nulls(n, type=pa.string()),
-                        "expected": pa.nulls(n, type=pa.string()),
-                        "actual": pa.nulls(n, type=pa.string()),
-                        "timestamp": pa.array(
-                            np.full(n, ts_us, dtype=np.int64), type=pa.timestamp("us")
-                        ),
-                        "source_event": pa.nulls(n, type=pa.string()),
-                        "status": const_str_array("valid", n),
-                        "event_name": const_str_array(self.spec.event_name, n),
-                        "event_data": pa.nulls(n, type=pa.string()),
-                        "value": const_str_array(json.dumps(rule.type), n),
-                        "type": pa.nulls(n, type=pa.string()),
-                    },
-                    schema=VIOLATION_SCHEMA,
-                )
-            )
-        if not tables:
+            if vidx.size:
+                names.append(rule.name)
+                types.append(json.dumps(rule.type))
+                idx_parts.append(vidx)
+        if not names:
             return VIOLATION_SCHEMA.empty_table()
-        return pa.concat_tables(tables)
+        rows = _Rows(np.array([p.size for p in idx_parts], dtype=np.int64))
+        n = rows.n
+        return _log_table(
+            n,
+            event_id=take_np(eid, np.concatenate(idx_parts)),
+            field=rows.column(names),
+            timestamp=_run_ts_col(self.run_ts, n),
+            status=const_str_array("valid", n),
+            event_name=const_str_array(self.spec.event_name, n),
+            value=rows.column(types),
+        )
 
 
 class ValidateJsonDocs:
@@ -1135,29 +1241,19 @@ class ValidateDispatchBatch:
             sub = pa.concat_tables(rest_slices)
             eid = make_event_id(sub, self.id_cols)
             n = sub.num_rows
-            ts_us = int(self.run_ts.timestamp() * 1_000_000)
             ename = js_string_cast(sub[self.dispatch_col])
             if isinstance(ename, pa.ChunkedArray):
                 ename = ename.combine_chunks()
             parts.append(
-                pa.table(
-                    {
-                        "event_id": eid,
-                        "field": pa.nulls(n, type=pa.string()),
-                        "error_type": const_str_array("schema_not_found", n),
-                        "expected": const_str_array("schema", n),
-                        "actual": const_str_array("not found", n),
-                        "timestamp": pa.array(
-                            np.full(n, ts_us, dtype=np.int64), type=pa.timestamp("us")
-                        ),
-                        "source_event": pa.nulls(n, type=pa.string()),
-                        "status": const_str_array("error", n),
-                        "event_name": ename,
-                        "event_data": pa.nulls(n, type=pa.string()),
-                        "value": pa.nulls(n, type=pa.string()),
-                        "type": pa.nulls(n, type=pa.string()),
-                    },
-                    schema=VIOLATION_SCHEMA,
+                _log_table(
+                    n,
+                    event_id=eid,
+                    error_type=const_str_array("schema_not_found", n),
+                    expected=const_str_array("schema", n),
+                    actual=const_str_array("not found", n),
+                    timestamp=_run_ts_col(self.run_ts, n),
+                    status=const_str_array("error", n),
+                    event_name=ename,
                 )
             )
         if not parts:
