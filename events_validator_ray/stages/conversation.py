@@ -43,15 +43,16 @@ DS2/ICDE'21, see PAPERS.md):
   conversation is one whole group and is finalized there. Each slice of a
   hot conversation runs the within-slice checks (exact: equal turn values
   share a slice) and emits one packed summary row (``SUMMARY_FIELDS``);
-  chunk>0 slices carry their per-row (turn_idx, ts) payload.
-- Phase 2 runs only when the hot set is non-empty. It merges the hot
-  conversations' summaries in an exchange keyed by conversation
-  (``_Phase2Packed``): min
-  turn, first role, cross-chunk gaps and alternation, and cross-chunk ts
-  order re-checked from the payloads against the global prefix max — no
-  second corpus scan. Phase 1's ts rows of those suspect chunks are dropped
-  (their expected understates the global max) before phase 2's corrected
-  rows are unioned in.
+  chunk>0 slices carry their per-row (turn_idx, ts) payload instead of
+  ts-order rows.
+- Phase 2 runs only when the hot set is non-empty. One exchange keyed by
+  conversation (``_Phase2Packed``, Arrow in and out) merges each hot
+  conversation's slice summaries: min turn, first role, cross-slice gaps
+  and alternation. It is the only source of the ts-order rows of chunk>0
+  slices: each carried row is checked against max(within-slice prefix, max
+  ts of the conversation's earlier slices), in int64, with no second
+  corpus scan. The output is phase 1's error rows unioned with phase 2's
+  rows; nothing is pulled to the driver.
 
 The output is the same whatever the hot set holds; the hot set only bounds
 how many rows of one conversation a single task holds.
@@ -66,7 +67,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..spec import Spec
-from . import broadcast
 from .exchange import exchange
 from .validate import DEFAULT_RUN_TS, VIOLATION_SCHEMA
 
@@ -85,7 +85,6 @@ SUMMARY_FIELDS = [
     "min_turn",
     "max_turn",
     "max_ts",
-    "min_ts",
     "chunk",
     "first_ok",
     "min_role",
@@ -93,21 +92,24 @@ SUMMARY_FIELDS = [
     "alt_first_role",
     "alt_last_role",
     # chunk>0 slices only: per-ROW turn_idx / ts-µs CSVs ("" = null ts) in the
-    # slice. Only chunk>0 groups can ever be ts-order SUSPECTS (a chunk with
-    # no earlier chunk cannot undercut one), so carrying their rows lets
-    # phase 2 emit the corrected cross-chunk ts violations directly, with no
-    # second corpus scan. Volume is bounded by the split tail of the hot
-    # conversations (turns beyond each one's first chunk).
+    # slice. Phase 2 owns the ts order of these slices (chunk 0 has no
+    # earlier slice, so its within-slice rows are final in phase 1) and
+    # checks them from this payload, with no second corpus scan. Volume is
+    # bounded by the split tail of the hot conversations (turns beyond each
+    # one's first chunk).
     "ts_turns",
     "ts_vals",
 ]
+
+#: the SUMMARY_FIELDS that hold integers
+_INT_FIELDS = ("min_turn", "max_turn", "max_ts", "chunk", "alt_first_turn")
 
 
 def parse_summary_payload(s: str) -> dict:
     """Decode one packed summary payload (tests/debugging)."""
     d = dict(zip(SUMMARY_FIELDS, s.split(SUMMARY_SEP)))
     out: dict = {}
-    for k in ("min_turn", "max_turn", "max_ts", "min_ts", "chunk", "alt_first_turn"):
+    for k in _INT_FIELDS:
         v = d.get(k, "")
         out[k] = None if v == "" else int(v)
     fo = d.get("first_ok", "")
@@ -294,7 +296,7 @@ class _VecRows:
                 return x.cast(pa.string())
             if x is None or isinstance(x, str):
                 return pa.array([x] * n, pa.string())
-            return pa.array(x, pa.string(), from_pandas=True)  # ndarray, list, Series
+            return pa.array(x, pa.string(), from_pandas=True)  # ndarray or list
 
         cols = (eid, field, etype, expected, actual, ename, status, payload)
         self.parts.append(dict(zip(_ROW_COLS, map(arr, cols))))
@@ -409,6 +411,9 @@ class BucketChecker:
             # prefix max of the per-turn max ts over STRICTLY smaller turns
             row_prev = _segmented_prev_max(np.maximum.reduceat(ts, ti), g_first)[tid]
             m = ts_ok & (ts < row_prev)
+            if hot_conv.any():
+                # phase 2 owns the ts order of a hot conversation's chunk>0 slices
+                m &= ~(hot_conv[code] & (chunk > 0))
             out.add(eid(code[m], turn[m]), ts_name, "order", _str(row_prev[m]), _str(ts[m]), ename)
 
         has_role = "role" in t.schema.names
@@ -456,9 +461,7 @@ class BucketChecker:
         f["chunk"] = _str(chunk[rs][hot_s])
         if has_ts:
             mx = np.maximum.reduceat(ts, rs)[hot_s]
-            mn = np.minimum.reduceat(np.where(ts_ok, ts, np.iinfo(np.int64).max), rs)[hot_s]
             f["max_ts"] = _str(mx, mx == _NEG_INF)
-            f["min_ts"] = _str(mn, ~np.logical_or.reduceat(ts_ok, rs)[hot_s])
         if first and has_role:
             f["first_ok"] = pa.array(np.where(g_hit[si][hot_s], "1", "0"))
             f["min_role"] = role_of(g_role[si][hot_s])
@@ -474,10 +477,9 @@ class BucketChecker:
             f["alt_last_role"] = role_of(a_last[hot_s])
         split = hot_s & (chunk[rs] > 0)
         if order and order.ts_monotone and has_ts and split.any():
-            # chunk>0 slices (the split tail, and the only possible ts
-            # suspects) carry their per-row (turn_idx, ts) CSVs so phase 2 can
-            # finalize cross-chunk ts checks without a corpus rescan; cold
-            # conversations are all chunk 0
+            # chunk>0 slices (the split tail) carry their per-row (turn_idx,
+            # ts) CSVs: phase 2 checks their ts order without a corpus
+            # rescan; cold conversations are all chunk 0
             rows = split[sid[tid]]
             lens = np.where(split, np.diff(np.r_[rs, n]), 0)[hot_s]
             offsets = pa.array(np.r_[0, np.cumsum(lens)], pa.int32())
@@ -554,10 +556,12 @@ def conversation_violations(
     chunk: int = CHUNK,
     skew: tuple[int, list] | None = None,
 ):
-    """Per-conversation wide checks; no task holds more than about `chunk`
-    rows of one hot conversation. Exact whatever the hot set holds: a cold
-    conversation is checked whole in one group, and row count (not turn
-    value) decides salting, so sparse gap conversations stay cold.
+    """Per-conversation wide checks. Exact whatever the hot set holds: a
+    cold conversation is checked whole in one group, and row count (not turn
+    value) decides salting, so sparse gap conversations stay cold. A phase-1
+    task holds at most about `chunk` rows of one hot conversation; a phase-2
+    task holds one hot conversation's slice summaries and the (turn_idx, ts)
+    pairs of its chunk>0 slices.
 
     ``skew`` is the (rows, sorted hot set) pair of ``detect_skew``; a caller
     that already holds it (``run_validation``'s stage 1) passes it in, and
@@ -565,8 +569,7 @@ def conversation_violations(
 
     Phase 1 is keyed by (conv_id, chunk). Phase 2 runs only when the hot set
     is non-empty: it merges the hot conversations' packed summaries keyed by
-    conversation, then drops phase 1's ts rows of suspect chunks and
-    unions phase 2's corrected rows."""
+    conversation, and its rows are unioned with phase 1's error rows."""
     import ray.data as rd
 
     n_rows, hot = skew if skew is not None else detect_skew(ds, chunk)
@@ -579,39 +582,8 @@ def conversation_violations(
     # materialized: tiny vs the input, consumed twice
     phase1 = phase1.materialize()
     summaries = phase1.filter(expr="status == 'summary'")
-    p2 = exchange(summaries, "event_name", _Phase2Packed(spec, run_ts))
-    # only phase 2's issue-bounded OUTPUT (cross-chunk violations + suspect
-    # markers of hot conversations) reaches the driver
-    p2_tbl = pa.Table.from_pylist(p2.take_all(), schema=VIOLATION_SCHEMA)
-    err2 = p2_tbl.filter(pc.equal(p2_tbl["status"], "error"))
-    sus = p2_tbl.filter(pc.equal(p2_tbl["status"], "suspect"))
-    out = phase1.filter(expr="status == 'error'")
-    if sus.num_rows:
-        # phase 2's payload re-check owns ALL ts-order rows of suspect chunks
-        # (in err2): drop phase 1's, whose `expected` is only the WITHIN-chunk
-        # prefix max. Keys travel via the object store, never a literal
-        # expression
-        suspects = broadcast.put(frozenset(sus["event_id"].to_pylist()))
-        ts_name = spec.table.order.ts_column if spec.table.order else "ts"
-
-        def drop_suspect_ts(df: "pd.DataFrame") -> pa.Table:
-            is_ts = (df["field"] == ts_name) & (df["error_type"] == "order")
-            if is_ts.any():
-                split = df.loc[is_ts, "event_id"].str.rsplit(":", n=1)
-                ch = (split.str[1].astype("int64") // chunk).clip(lower=0).astype(str)
-                drop = is_ts.copy()
-                drop.loc[is_ts] = (split.str[0] + ":" + ch).isin(suspects.get())
-                df = df[~drop]
-            # ARROW in the canonical schema so the union below mixes no
-            # pandas-vs-arrow block representations
-            return _violation_table(df)
-
-        out = out.map_batches(drop_suspect_ts, batch_format="pandas")
-    # union phase 2's corrected rows only AFTER the drop: they live in
-    # suspect chunks by construction and must survive
-    if err2.num_rows:
-        out = out.union(rd.from_arrow(err2))
-    return out
+    p2 = exchange(summaries, "event_name", _Phase2Packed(spec, run_ts), batch_format="pyarrow")
+    return phase1.filter(expr="status == 'error'").union(p2)
 
 
 #: the registry name `conversation_checks_salted` and the benchmarks call it
@@ -623,185 +595,99 @@ conversation_violations_salted = conversation_violations
 # ---------------------------------------------------------------------------
 
 
-def _violation_table(df: "pd.DataFrame") -> pa.Table:
-    """Pandas violation rows -> Arrow in the canonical VIOLATION_SCHEMA (the
-    union downstream must never mix pandas- and arrow-backed blocks)."""
-    tbl = pa.Table.from_pandas(df, preserve_index=False)
-    arrays = {
-        name: tbl[name].cast(VIOLATION_SCHEMA.field(name).type)
-        for name in VIOLATION_SCHEMA.names
-    }
-    return pa.table(arrays, schema=VIOLATION_SCHEMA)
+def _blank_null(a: pa.Array) -> pa.Array:
+    """A string array with "" read as NULL."""
+    return pc.if_else(pc.equal(a, ""), pa.scalar(None, a.type), a)
 
 
-def _unpack_summaries(df: "pd.DataFrame") -> "pd.DataFrame":
-    """Packed summary rows (event_name=conv, event_data=payload) -> one
-    structured frame (vectorized split; no per-row JSON)."""
-    import pandas as pd
-
-    parts = df["event_data"].str.split(SUMMARY_SEP, expand=True)
-    parts.columns = SUMMARY_FIELDS
-    out = parts.where(parts != "").assign(conv=df["event_name"])
-    for c in ("min_turn", "max_turn", "max_ts", "min_ts", "chunk", "alt_first_turn"):
-        out[c] = pd.to_numeric(out[c])
-    return out
+def _unpack(t: pa.Table) -> dict[str, pa.Array]:
+    """Packed summary rows (event_name=conv, event_data=payload) -> ``conv``
+    and one array per ``SUMMARY_FIELDS`` entry ("" read as NULL, the integer
+    fields as int64), sorted by (conv, chunk). Vectorized string kernels, no
+    per-row parse."""
+    t = t.combine_chunks()
+    parts = pc.split_pattern(t["event_data"].chunk(0), SUMMARY_SEP)
+    cols = {"conv": t["event_name"].chunk(0)}
+    for i, name in enumerate(SUMMARY_FIELDS):
+        v = _blank_null(pc.list_element(parts, i))
+        cols[name] = v.cast(pa.int64()) if name in _INT_FIELDS else v
+    o = pc.sort_indices(pa.table(cols), [("conv", "ascending"), ("chunk", "ascending")])
+    return {k: v.take(o) for k, v in cols.items()}
 
 
 class _Phase2Packed:
     """Phase 2 over one conv-hash bucket of PACKED hot-conversation summary
-    rows: unpacks them and merges chunk boundaries with vectorized pandas
-    kernels (shift / cummax / ffill carry) — min-turn-zero, cross-chunk
-    contiguity, first-role and alternation-carry violations, plus
-    `status='suspect'` marker rows (event_id=f"{conv}:{chunk}",
-    expected=str(prefix_max)) driving the phase-1 suspect ts-row drop, plus
-    the corrected cross-chunk ts-order rows re-checked from the chunk>0
-    summaries' carried (turn_idx, ts) payloads."""
+    rows, Arrow in and Arrow out. The slices, sorted by (conversation,
+    chunk), are merged with numpy: min-turn-zero, cross-slice contiguity,
+    first-role and alternation-carry violations. Every ts-order row of the
+    chunk>0 slices comes from here, checked from their carried (turn_idx,
+    ts) payloads against max(within-slice prefix, max ts of the
+    conversation's earlier slices) in int64."""
 
     def __init__(self, spec: Spec, run_ts: _dt.datetime):
         self.spec = spec
         self.run_ts = run_ts
 
-    def __call__(self, df: "pd.DataFrame") -> pa.Table:
-        import pandas as pd
+    def __call__(self, t: pa.Table) -> pa.Table:
+        spec, out = self.spec, _VecRows()
+        ename, order, fr = spec.event_name, spec.table.order, spec.table.first_role
+        s = _unpack(t)
+        conv = s["conv"]
+        code = pc.dictionary_encode(conv).indices.to_numpy()
+        n = len(code)
+        first = np.r_[True, code[1:] != code[:-1]]  # a conversation's first slice
+        lo, hi = s["min_turn"].to_numpy(), s["max_turn"].to_numpy()
 
-        spec = self.spec
-        ename = spec.event_name
-        order = spec.table.order
-        out = _VecRows()
-        df = _unpack_summaries(df).sort_values(["conv", "chunk"]).reset_index(drop=True)
-        g = df.groupby("conv", sort=False)
-        first = (g.cumcount() == 0).to_numpy()
-        conv = df["conv"].astype(str)
-
-        def eid(mask: np.ndarray, turns: "pd.Series") -> np.ndarray:
-            return (
-                conv[mask] + ":" + turns[mask].astype("int64").astype(str)
-            ).to_numpy(dtype=object)
+        def eid(slices, turns) -> pa.Array:
+            return pc.binary_join_element_wise(conv.take(slices), _str(turns), ":")
 
         if order and order.contiguous:
-            m = first & (df["min_turn"] != 0).to_numpy()
-            out.add(
-                eid(m, df["min_turn"]),
-                "turn_idx",
-                "order",
-                "0",
-                df.loc[m, "min_turn"].astype("int64").astype(str),
-                ename,
-            )
-            prev_max = g["max_turn"].shift(1)
-            m = (~first) & ((df["min_turn"] - prev_max) > 1).to_numpy()
-            out.add(
-                eid(m, df["min_turn"]),
-                "turn_idx",
-                "order",
-                (prev_max[m] + 1).astype("int64").astype(str),
-                df.loc[m, "min_turn"].astype("int64").astype(str),
-                ename,
-            )
+            i = np.flatnonzero(first & (lo != 0))
+            out.add(eid(i, lo[i]), "turn_idx", "order", "0", _str(lo[i]), ename)
+            nxt = np.r_[0, hi[:-1]] + 1
+            i = np.flatnonzero(~first & (lo > nxt))
+            out.add(eid(i, lo[i]), "turn_idx", "order", _str(nxt[i]), _str(lo[i]), ename)
 
-        fr = spec.table.first_role
         if fr is not None:
-            m = first & (df["first_ok"] == "0").to_numpy()
-            out.add(
-                eid(m, df["min_turn"]),
-                "role",
-                "ref",
-                f"first_role={fr}",
-                df.loc[m, "min_role"],
-                ename,
-            )
+            miss = pc.fill_null(pc.equal(s["first_ok"], "0"), False).to_numpy(zero_copy_only=False)
+            i = np.flatnonzero(first & miss)
+            out.add(eid(i, lo[i]), "role", "ref", f"first_role={fr}", s["min_role"].take(i), ename)
 
         if order and order.alternate:
+            # carry = the last non-null alt_last_role of the conversation's
+            # EARLIER slices (a roleless slice does not reset it)
+            a_first, a_last = s["alt_first_role"], s["alt_last_role"]
+            idx = np.arange(n)
+            has_last = a_last.is_valid().to_numpy(zero_copy_only=False)
+            prev = np.r_[-1, np.maximum.accumulate(np.where(has_last, idx, -1))[:-1]]
+            carried = prev >= np.maximum.accumulate(np.where(first, idx, 0))
+            same = pc.and_(
+                pc.equal(a_first, a_last.take(np.where(carried, prev, 0))),
+                pc.is_in(a_first, pa.array(order.alternate, a_first.type)),
+            )
+            i = np.flatnonzero(carried & pc.fill_null(same, False).to_numpy(zero_copy_only=False))
+            a_turn = pc.fill_null(s["alt_first_turn"], 0).to_numpy()
             expected = "alternating " + "|".join(order.alternate)
-            alt_set = sorted(order.alternate)
-            fr_col = df["alt_first_role"]
-            # carry = last non-null alt_last_role of EARLIER chunks (roleless
-            # chunks don't reset it): shift then ffill within the conversation
-            prev_last = g["alt_last_role"].shift(1)
-            carry = prev_last.groupby(df["conv"], sort=False).ffill()
-            m = (
-                fr_col.notna()
-                & carry.notna()
-                & (fr_col == carry)
-                & fr_col.isin(alt_set)
-            ).to_numpy()
-            out.add(
-                eid(m, df["alt_first_turn"]),
-                "role",
-                "alt",
-                expected,
-                df.loc[m, "alt_first_role"],
-                ename,
-            )
+            out.add(eid(i, a_turn[i]), "role", "alt", expected, a_first.take(i), ename)
 
-        if order and order.ts_monotone:
-            # fillna(-inf) first: pandas cummax leaves NaN at all-null-ts
-            # chunks, and shift(1) would then feed NaN prefix to the NEXT
-            # chunk, silently masking real disorder there (same hazard
-            # BucketChecker guards within-chunk)
-            cm = (
-                df["max_ts"]
-                .astype("float64")
-                .fillna(float("-inf"))
-                .groupby(df["conv"], sort=False)
-                .cummax()
-            )
-            prefix = cm.groupby(df["conv"], sort=False).shift(1)
-            min_ts = df["min_ts"].astype("float64")
-            m = (prefix.notna() & min_ts.notna() & (min_ts < prefix)).to_numpy()
-            # suspect markers: drive the drop of phase 1's within-chunk ts
-            # rows for these chunks (their `expected` understates the global
-            # prefix max)
-            out.add(
-                (conv[m] + ":" + df.loc[m, "chunk"].astype("int64").astype(str)).to_numpy(
-                    dtype=object
-                ),
-                None,
-                "suspect",
-                prefix[m].astype("int64").astype(str),
-                None,
-                conv[m].to_numpy(dtype=object),
-                status="suspect",
-            )
-            # ...and emit the CORRECTED ts-order rows directly from the
-            # chunk's carried (turn_idx, ts) payload. Semantics identical to a
-            # whole conversation: a row violates iff ts < max(within-chunk
-            # prev-turn max, earlier-chunk prefix max), expected = that
-            # effective max.
-            if m.any():
-                ts_name = order.ts_column or "ts"
-                for tcsv, vcsv, conv_s, P in zip(
-                    df.loc[m, "ts_turns"],
-                    df.loc[m, "ts_vals"],
-                    conv[m],
-                    prefix[m].to_numpy(dtype="float64"),
-                ):
-                    if not isinstance(tcsv, str):  # no rows carried
-                        continue
-                    turns = np.array(tcsv.split(","), dtype=np.int64)
-                    vals = np.array(
-                        [float(x) if x else np.nan for x in vcsv.split(",")],
-                        dtype=np.float64,
-                    )
-                    o = np.argsort(turns, kind="stable")
-                    st, sv = turns[o], vals[o]
-                    uturn, inv = np.unique(st, return_inverse=True)
-                    filled = np.where(np.isnan(sv), -np.inf, sv)
-                    tmax = np.full(len(uturn), -np.inf)
-                    np.maximum.at(tmax, inv, filled)
-                    run = np.maximum.accumulate(tmax)
-                    prevmax = np.concatenate(([-np.inf], run[:-1]))
-                    eff = np.maximum(prevmax[inv], P)
-                    bad = ~np.isnan(sv) & (sv < eff)
-                    if bad.any():
-                        out.add(
-                            np.array(
-                                [f"{conv_s}:{t}" for t in st[bad]], dtype=object
-                            ),
-                            ts_name,
-                            "order",
-                            eff[bad].astype(np.int64).astype(str).astype(object),
-                            sv[bad].astype(np.int64).astype(str).astype(object),
-                            ename,
-                        )
+        has_rows = s["ts_turns"].is_valid()  # the chunk>0 slices' payloads
+        if order and order.ts_monotone and pc.any(has_rows).as_py():
+            # max ts of each slice's EARLIER slices in its conversation
+            before = _segmented_prev_max(pc.fill_null(s["max_ts"], _NEG_INF).to_numpy(), first)
+            turns = pc.split_pattern(s["ts_turns"].filter(has_rows), ",")
+            # a one-row slice with a NULL ts packs its ts_vals as ""
+            vals = pc.split_pattern(pc.fill_null(s["ts_vals"].filter(has_rows), ""), ",")
+            sl = np.flatnonzero(has_rows)[pc.list_parent_indices(turns).to_numpy()]
+            turn = pc.list_flatten(turns).cast(pa.int64()).to_numpy()
+            v = _blank_null(pc.list_flatten(vals)).cast(pa.int64())
+            ts, ts_ok = pc.fill_null(v, _NEG_INF).to_numpy(), v.is_valid().to_numpy(zero_copy_only=False)
+            o = np.lexsort((turn, sl))
+            sl, turn, ts, ts_ok = sl[o], turn[o], ts[o], ts_ok[o]
+            new_slice = np.r_[True, sl[1:] != sl[:-1]]
+            new_turn = new_slice | np.r_[True, turn[1:] != turn[:-1]]
+            ti = np.flatnonzero(new_turn)
+            within = _segmented_prev_max(np.maximum.reduceat(ts, ti), new_slice[ti])[np.cumsum(new_turn) - 1]
+            eff = np.maximum(within, before[sl])
+            i = np.flatnonzero(ts_ok & (ts < eff))
+            out.add(eid(sl[i], turn[i]), order.ts_column, "order", _str(eff[i]), _str(ts[i]), ename)
         return out.to_table(self.run_ts)

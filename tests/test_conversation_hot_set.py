@@ -70,7 +70,7 @@ def test_hot_conversation_split_across_blocks_matches_reference(ray_session, for
     turns = list(range(62)) + [7, 40]  # duplicates in slices 0 and 4
     turns[30] = 31  # gap at 30 plus a duplicate of 31
     ts = [base + t * 1_000_000 for t in turns]
-    ts[3] = base + 10**12  # forward outlier: every later slice is a suspect
+    ts[3] = base + 10**12  # forward outlier: every later slice undercuts it
     ts[25] = ts[24] - 500_000  # within-slice disorder under the outlier's max
     ts[45] = None
     roles = ["assistant"] + [["user", "assistant"][i % 2] for i in range(1, 64)]
@@ -178,7 +178,11 @@ def test_hot_set_driver_pull_within_bound(ray_session):
 def test_fuzz_hot_slices_match_reference_and_twin(ray_session, force_buckets, seed):
     """Random conversations over two blocks at chunk=4, so most are hot and
     split into slices: NULL ts and roles, duplicate and negative turns, gaps
-    and ts disorder. The output equals ConversationChecker and the DuckDB
+    and ts disorder. Six more are hot with a forward ts outlier at their
+    second turn: two straddle 2^53 µs (where float64 loses odd values), two
+    have carried slices whose every ts is NULL (one of them a one-row
+    slice), and two start past chunk 0, so phase 2's first slice of them
+    is one it owns. The output equals ConversationChecker and the DuckDB
     twin (the twin alone for alternation)."""
     import ray.data as rd
 
@@ -206,18 +210,49 @@ def test_fuzz_hot_slices_match_reference_and_twin(ray_session, force_buckets, se
                     None if rng.random() < 0.1 else ts,
                 )
             )
+    for c, kind in enumerate(["big", "big", "null", "null", "headless", "headless"], start=12):
+        k = int(rng.integers(2, 5))
+        head = int(rng.integers(4, 9)) if kind == "headless" else 0
+        turns = list(range(head, head + 4 * k + 1))  # the last slice holds one row
+        t0 = 2**53 - 5 * 10_000_000 if kind == "big" else base
+        ts = [t0 + t * 10_000_000 + int(rng.integers(0, 5)) for t in turns]
+        ts[1] += int(rng.integers(50, 400)) * 2_000_000 + 1  # forward outlier, odd
+        ts[int(rng.integers(2, len(ts)))] -= int(rng.integers(1, 10**9))
+        if kind == "null":
+            j = int(rng.integers(1, k))
+            ts = [None if t // 4 in (j, k) else v for t, v in zip(turns, ts)]
+        for t, v in zip(turns, ts):
+            role = [None, "user", "assistant", "tool"][int(rng.integers(0, 4))]
+            rows.append((f"conv_{c:08d}", t, role, v))
     rows = [rows[i] for i in rng.permutation(len(rows))]
     tbl = _table(*zip(*rows))
     half = len(tbl) // 2
     ds = rd.from_arrow([tbl.slice(0, half), tbl.slice(half)])
     _, hot = cv.detect_skew(ds, 4)
-    assert len(hot) >= 3
+    assert len(hot) >= 3 and {f"conv_{c:08d}" for c in range(12, 18)} <= set(hot)
     force_buckets(4)
     spec = transcript_spec()
     got = _multiset(cv.conversation_violations(ds, spec, chunk=4).take_all())
     assert got == _reference(tbl, spec) == _twin(tbl, spec)
     spec = _alternating_spec()
     assert _multiset(cv.conversation_violations(ds, spec, chunk=4).take_all()) == _twin(tbl, spec)
+
+
+def test_phase2_compares_timestamps_as_int64(ray_session):
+    """A ts past 2^53 µs is the running max of a hot conversation's chunk 0:
+    the rows of chunk 1 that undercut it report it exactly (float64 would
+    read 2^53 + 1 as 2^53)."""
+    import ray.data as rd
+
+    base = 1_704_067_200_000_000
+    ts = [base + t * 1_000_000 for t in range(14)]
+    ts[5] = 2**53 + 1
+    tbl = _table(["c0"] * 14, list(range(14)), ["user", "assistant"] * 7, ts)
+    spec = transcript_spec()
+    got = _multiset(cv.conversation_violations(rd.from_arrow(tbl), spec, chunk=10).take_all())
+    assert got == _reference(tbl, spec)
+    ts_rows = {k[0]: k[3] for k in got if k[1] == "ts"}
+    assert ts_rows == {f"c0:{t}": str(2**53 + 1) for t in range(6, 14)}
 
 
 def _hot_corpus(d: str) -> pa.Table:
@@ -309,6 +344,72 @@ def test_run_validation_takes_hot_set_from_stage1(ray_session, tmp_path, monkeyp
     got = _conversation_log(out)
     assert got == _reference(tbl, spec) == _twin(tbl, spec)
     assert {"unique", "order", "ref"} <= {k[2] for k in got}
+
+
+def test_conversation_module_pulls_nothing_to_the_driver():
+    """stages/conversation.py imports neither pandas nor the broadcast
+    module and calls no take_all / to_pandas: both phases stay in the
+    Dataset, and the output is phase 1's error rows unioned with phase 2's
+    exchange."""
+    import ast
+    import inspect
+
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(cv))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {part for a in node.names for part in a.name.split(".")}
+            names |= {a.asname for a in node.names if a.asname}
+            names |= set((getattr(node, "module", None) or "").split("."))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"take_all", "to_pandas", "broadcast", "pandas", "pd"}
+
+
+def test_hot_set_run_validation_pulls_nothing_in_conversation_stage(
+    ray_session, tmp_path, monkeypatch, small_chunk
+):
+    """With a hot conversation, run_validation's conversation stage runs
+    phase 2 and calls no Dataset.take_all, take or to_pandas from
+    stages/conversation.py; its log still equals the reference."""
+    import traceback
+
+    import ray.data as rd
+
+    conv_py = os.path.join("stages", "conversation.py")
+    pulls = []
+
+    def spy(name):
+        real = getattr(rd.Dataset, name)
+
+        def pull(self, *args, **kwargs):
+            if any(f.filename.endswith(conv_py) for f in traceback.extract_stack()):
+                pulls.append(name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(rd.Dataset, name, pull)
+
+    for name in ("take_all", "take", "to_pandas"):
+        spy(name)
+    built = []
+    real_phase2 = cv._Phase2Packed
+
+    class Phase2(real_phase2):
+        def __init__(self, *a, **k):
+            built.append(a)
+            super().__init__(*a, **k)
+
+    monkeypatch.setattr(cv, "_Phase2Packed", Phase2)
+    from events_validator_ray.pipelines.validate_pipeline import run_validation
+
+    tbl = _hot_corpus(str(tmp_path / "in"))
+    out = str(tmp_path / "out")
+    spec = transcript_spec()
+    run_validation(str(tmp_path / "in"), out, spec, files_per_partition=1)
+    assert small_chunk[0][1] == ["conv_big"] and len(built) == 1
+    assert pulls == []
+    assert _conversation_log(out) == _reference(tbl, spec)
 
 
 def test_resume_reads_hot_set_from_manifest(ray_session, tmp_path, small_chunk):

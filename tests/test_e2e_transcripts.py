@@ -136,8 +136,8 @@ def test_salted_equals_unsalted_with_alternation(ray_session, tdir):
 def test_salted_forward_outlier_expected_matches_global_prefix_max(ray_session):
     """ADVICE repro: when an EARLIER chunk holds the running ts max (forward
     outlier), within-chunk disorder in a later chunk must report `expected` =
-    the conversation-global prefix max, not the within-chunk one. Phase 3
-    owns all ts rows for suspect chunks."""
+    the conversation-global prefix max, not the within-chunk one. Phase 2
+    owns every ts row of a hot conversation's chunk>0 slices."""
     import datetime as dt
 
     import numpy as np
@@ -181,9 +181,9 @@ def test_salted_forward_outlier_expected_matches_global_prefix_max(ray_session):
 
 
 def test_salted_many_suspect_conversations(ray_session):
-    """>100 suspect conversations: the rescan source is a broadcast semi-join
-    (never a literal in-list expression) and the salted rows still equal the
-    unsalted path."""
+    """>100 conversations whose chunk 1 undercuts chunk 0's max ts: phase 2
+    checks every one of them from the carried payloads, and the salted rows
+    still equal the unsalted path."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd

@@ -54,8 +54,8 @@ def _assert_matches_references(tbl: pa.Table, spec, got: pd.DataFrame) -> None:
 
 def _conv_with_forward_outlier(shift_us: int = 0) -> pa.Table:
     """One conversation where an EARLY chunk holds the running ts max and a
-    LATER chunk has within-chunk disorder — the suspect-chunk scenario whose
-    corrected rows the distributed branch used to drop. `shift_us` moves every
+    LATER chunk has within-chunk disorder — the scenario whose cross-chunk
+    ts rows the distributed branch once dropped. `shift_us` moves every
     timestamp by the same amount."""
     base = 1_704_067_200_000_000 + shift_us
     n = 14
@@ -78,9 +78,9 @@ def _conv_with_forward_outlier(shift_us: int = 0) -> pa.Table:
 
 @pytest.mark.parametrize("shift_us", [0, 2_000_000])
 def test_salted_distributed_branch_equals_unsalted(ray_session, shift_us):
-    """The suspect-chunk fixture at chunk=10 (its 14 rows make it hot):
-    phase 2's corrected ts rows must survive the suspect-row drop (the drop
-    runs on phase 1's rows BEFORE the union). Parametrized over a uniform
+    """The forward-outlier fixture at chunk=10 (its 14 rows make it hot):
+    phase 2's ts rows of chunk 1 carry chunk 0's max as their expected, and
+    phase 1 emits none for chunk 1. Parametrized over a uniform
     timestamp shift, which must not change which rows are flagged."""
     import ray.data as rd
 
@@ -103,8 +103,8 @@ def test_salted_distributed_branch_equals_unsalted(ray_session, shift_us):
 
 def test_salted_allnull_ts_chunk_carries_prefix(ray_session):
     """An all-null-ts chunk between the running max and later disorder must
-    not reset the cross-chunk prefix (cummax leaves NaN at all-null chunks;
-    the fillna(-inf) guard keeps the carry alive)."""
+    not reset the cross-chunk prefix (an all-null chunk's max ts reads as
+    INT64_MIN, so the running max carries past it)."""
     import ray.data as rd
 
     base = 1_704_067_200_000_000
